@@ -23,7 +23,6 @@ from .decoder import (
     DecodeResult,
     PathMetricBank,
     StreamedFrame,
-    SurvivorMemory,
     acs_step,
     branch_metric,
     decode_frame,
@@ -58,7 +57,6 @@ __all__ = [
     "PowerCompareResult",
     "REGISTER_EXCHANGE",
     "StreamedFrame",
-    "SurvivorMemory",
     "SweepConfig",
     "TRACEBACK",
     "Trellis",

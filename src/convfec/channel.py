@@ -66,9 +66,12 @@ def hard_quantize(symbols: np.ndarray) -> np.ndarray:
     """1-bit decision: amplitude > 0 maps to bit 0, < 0 to bit 1.
 
     An exact 0.0 maps to bit 0 (documented tie rule; probability zero under
-    AWGN but pinned for reproducibility).
+    AWGN but pinned for reproducibility).  NaN or infinite samples carry no
+    decision and raise ``ValueError``.
     """
     arr = np.asarray(symbols, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        raise ValueError("hard_quantize needs finite samples, got NaN or infinity")
     return (arr < 0.0).astype(np.uint8)
 
 

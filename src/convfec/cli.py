@@ -16,13 +16,10 @@ import sys
 import tempfile
 from typing import Sequence
 
+import numpy as np
+
 from . import __version__
-from .decoder import (
-    REGISTER_EXCHANGE,
-    TRACEBACK,
-    decode_frame,
-    decode_frame_register_exchange,
-)
+from .decoder import REGISTER_EXCHANGE, TRACEBACK, ActivityReport, decode_frames
 from .encoder import encode_stream
 from .channel import inject_errors
 from .harness import (
@@ -180,7 +177,11 @@ def _parse_lines(fp, expected_len: int, what: str) -> list[list[int]]:
 
 
 def _format_frames(frames: Sequence[Sequence[int]]) -> str:
-    return "".join("".join(str(b) for b in frame) + "\n" for frame in frames)
+    if len(frames) == 0:
+        return ""
+    digits = np.asarray(frames, dtype=np.uint8) + ord("0")
+    newline = np.full((digits.shape[0], 1), ord("\n"), dtype=np.uint8)
+    return np.hstack([digits, newline]).tobytes().decode("ascii")
 
 
 def _write_text(path: str, text: str) -> None:
@@ -224,21 +225,14 @@ def _cmd_encode(args: argparse.Namespace, spec: CodeSpec) -> int:
 def _cmd_decode(args: argparse.Namespace, spec: CodeSpec) -> int:
     trellis = build_trellis(spec)
     frames = _read_frames(args.input, 2 * spec.frame_stages, "coded")
-    if args.scheme == "traceback":
-        decode, scheme_name = decode_frame, TRACEBACK
-    else:
-        decode, scheme_name = decode_frame_register_exchange, REGISTER_EXCHANGE
-    payloads = []
-    survivor = metric = reads = 0
-    for frame in frames:
-        result = decode(frame, trellis)
-        payloads.append(result.decoded[: spec.payload_length])
-        survivor += result.activity.survivor_bit_writes
-        metric += result.activity.metric_writes
-        reads += result.activity.traceback_reads
-    _write_text(args.output, _format_frames(payloads))
+    scheme = TRACEBACK if args.scheme == "traceback" else REGISTER_EXCHANGE
+    coded = np.array(frames, dtype=np.uint8).reshape(len(frames), 2 * spec.frame_stages)
+    decoded, _ = decode_frames(coded, trellis, scheme)
+    _write_text(args.output, _format_frames(decoded[:, : spec.payload_length]))
     if args.activity is not None:
-        row = f"{scheme_name},{len(frames)},{survivor},{metric},{reads}"
+        report = ActivityReport.for_frames(spec, scheme, len(frames))
+        row = (f"{scheme},{len(frames)},{report.survivor_bit_writes},"
+               f"{report.metric_writes},{report.traceback_reads}")
         _write_text(args.activity, f"{_ACTIVITY_CSV_HEADER}\n{row}\n")
     return 0
 

@@ -1,43 +1,26 @@
-"""Hard-decision Viterbi decoder with two survivor-memory organizations.
+"""Hard-decision Viterbi decoding: one add-compare-select (ACS) kernel, two survivor memories.
 
-The add-compare-select recursion is shared; what differs is how survivor
-information is stored and read out:
-
-* trace-back: one survivor word per stage (bit ``s`` of stage word ``t`` is
-  1 when state ``s``'s survivor at stage ``t`` arrived via its upper-branch
-  predecessor).  A stage word is written exactly once per frame, at the
-  ring-counter position, which is what makes the scheme cheap in register
-  switching activity.  Decoding walks the words backward from state 0.
-* register exchange: every state keeps a register with its full decoded
-  prefix, all of which are copied forward each stage.  No trace-back pass,
-  but far more register writes.
-
-Both produce bit-identical decoded frames and metrics; the activity
-counters quantify the difference.  Ties between equal path metrics always
-go to the lower-branch predecessor (survivor bit 0), a fixed rule that
-keeps every result reproducible.
-"""
+The kernel writes one stage word per stage and frame, once: bit ``s`` is 1 when
+state ``s``'s survivor came via its upper branch (ties keep the lower one).  Trace-back
+and register exchange both read the words; they differ only in activity cost."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .trellis import Trellis
+from .trellis import CodeSpec, Trellis
 
 TRACEBACK = "trace-back"
 REGISTER_EXCHANGE = "register-exchange"
 
-# Path metrics are bounded by 2 * frame_stages, so any huge sentinel is safe
-# from overflow at frame scale.
-_UNREACHABLE = np.int64(1) << np.int64(40)
+# frames per kernel call: larger batches run in blocks that stay cache-sized
+_BLOCK_FRAMES = 2048
 
-# Bit-metric lookup: Hamming distance between packed 2-bit symbols.
-_SYMBOL_HAMMING = np.array(
-    [[bin(a ^ b).count("1") for b in range(4)] for a in range(4)], dtype=np.uint8
-)
+_SYMBOL_HAMMING = np.array(  # Hamming distance between packed 2-bit symbols
+    [[bin(a ^ b).count("1") for b in range(4)] for a in range(4)], dtype=np.uint8)
 
 
 def _pack_symbol(symbol: Sequence[int]) -> int:
@@ -52,58 +35,24 @@ def branch_metric(received: Sequence[int], expected: Sequence[int]) -> int:
     return int(_SYMBOL_HAMMING[_pack_symbol(received), _pack_symbol(expected)])
 
 
-@dataclass
-class PathMetricBank:
-    """Per-state accumulated Hamming metrics with reachability flags.
+def _sentinel(dtype: np.dtype) -> int:  # unreachable: half the range, so sums cannot wrap
+    return int(np.iinfo(dtype).max) // 2
 
-    ``metric[s]`` is meaningful only where ``reachable[s]`` is set;
-    unreachable entries hold a large sentinel.
-    """
+
+@dataclass(frozen=True)
+class PathMetricBank:
+    """Per-state accumulated Hamming metrics; unreachable states hold the sentinel."""
 
     metric: np.ndarray
-    reachable: np.ndarray
 
     @classmethod
     def initial(cls, num_states: int) -> "PathMetricBank":
         """Stage-0 bank: the encoder provably starts in state 0."""
-        metric = np.full(num_states, _UNREACHABLE, dtype=np.int64)
-        metric[0] = 0
-        reachable = np.zeros(num_states, dtype=bool)
-        reachable[0] = True
-        return cls(metric, reachable)
+        return cls(np.where(np.arange(num_states) == 0, 0, _sentinel(np.int16)).astype(np.int16))
 
-
-@dataclass
-class SurvivorMemory:
-    """Stage-addressed survivor storage with a ring-counter write pointer.
-
-    ``stage_words[t]`` is an integer whose bit ``s`` records state ``s``'s
-    survivor decision at stage ``t``.  The clock-gating contract: each word
-    is written once per frame, only at ``stage_pointer``, and never touched
-    again, so total bit writes are exactly ``num_states * frame_stages``.
-    """
-
-    num_states: int
-    frame_stages: int
-    stage_words: list[int | None] = field(repr=False)
-    stage_pointer: int = 0
-    write_count: int = 0
-
-    @classmethod
-    def for_frame(cls, trellis: Trellis) -> "SurvivorMemory":
-        spec = trellis.spec
-        return cls(spec.num_states, spec.frame_stages, [None] * spec.frame_stages)
-
-    def write_stage(self, word: int) -> None:
-        if self.stage_pointer >= self.frame_stages:
-            raise ValueError(
-                f"survivor memory already holds {self.frame_stages} stage words"
-            )
-        if self.stage_words[self.stage_pointer] is not None:
-            raise ValueError(f"stage word {self.stage_pointer} written twice")
-        self.stage_words[self.stage_pointer] = word
-        self.stage_pointer += 1
-        self.write_count += self.num_states
+    @property
+    def reachable(self) -> np.ndarray:
+        return self.metric < _sentinel(self.metric.dtype)
 
 
 @dataclass(frozen=True)
@@ -116,9 +65,18 @@ class ActivityReport:
     traceback_reads: int
 
     def __post_init__(self) -> None:
-        for name in ("survivor_bit_writes", "metric_writes", "traceback_reads"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+        if min(self.survivor_bit_writes, self.metric_writes, self.traceback_reads) < 0:
+            raise ValueError("activity counts must be nonnegative")
+
+    @classmethod
+    def for_frames(cls, spec: CodeSpec, scheme: str, frames: int) -> "ActivityReport":
+        """Activity of ``frames`` frames; it never depends on the data."""
+        s, l = spec.num_states, spec.frame_stages
+        if scheme == TRACEBACK:
+            return cls(scheme, s * l * frames, s * l * frames, l * frames)
+        if scheme == REGISTER_EXCHANGE:
+            return cls(scheme, s * l * (l + 1) // 2 * frames, s * l * frames, 0)
+        raise ValueError(f"unknown survivor scheme {scheme!r}")
 
 
 class DecodeResult(NamedTuple):
@@ -127,227 +85,141 @@ class DecodeResult(NamedTuple):
     activity: ActivityReport
 
 
-def _branch_metrics(rsym: "int | np.ndarray", trellis: Trellis) -> tuple[np.ndarray, np.ndarray]:
-    """Bit-metric lookups for every state's lower and upper incoming branch.
-
-    ``rsym`` may be a packed symbol or an array of them; the results gain a
-    trailing state axis.
-    """
-    r = np.asarray(rsym)[..., np.newaxis]
-    return _SYMBOL_HAMMING[r, trellis.lower_sym], _SYMBOL_HAMMING[r, trellis.upper_sym]
-
-
-def _acs_core(
-    metric: np.ndarray,
-    reachable: np.ndarray,
-    bm_lo: np.ndarray,
-    bm_hi: np.ndarray,
-    trellis: Trellis,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One add-compare-select stage over all states.
-
-    Returns ``(new_metric, new_reachable, upper_wins)``.
-    """
-    m_lo = metric[..., trellis.lower_pred] + bm_lo
-    m_hi = metric[..., trellis.upper_pred] + bm_hi
-    v_lo = reachable[..., trellis.lower_pred]
-    v_hi = reachable[..., trellis.upper_pred]
-    # The upper branch wins only strictly; ties keep the lower predecessor.
-    upper_wins = v_hi & (~v_lo | (m_hi < m_lo))
-    new_metric = np.where(upper_wins, m_hi, m_lo)
-    new_reachable = v_lo | v_hi
-    np.copyto(new_metric, _UNREACHABLE, where=~new_reachable)
-    return new_metric, new_reachable, upper_wins
+def _acs(metric: np.ndarray, bm: np.ndarray,
+         clamp: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """One ACS stage over ``(S, n)`` metrics and lower-then-upper branch rows ``bm``:
+    states ``j``, ``j + S/2`` feed ``2j``, ``2j + 1``.  A ``clamp`` row saturates sums
+    before the compare, so two unreachable predecessors tie.  Returns ``(metric, upper_wins)``."""
+    half, n = metric.shape[0] >> 1, metric.shape[1]
+    cand = metric.reshape(2, half, 1, n) + bm.reshape(2, half, 2, n)
+    if clamp is not None:
+        np.minimum(cand, clamp, out=cand)
+    upper_wins = cand[1] < cand[0]  # ties keep the lower predecessor
+    return np.minimum(cand[0], cand[1]).reshape(-1, n), upper_wins.reshape(-1, n)
 
 
-def _pack_word(upper_wins: np.ndarray) -> int:
-    packed = np.packbits(upper_wins, bitorder="little")
-    return int.from_bytes(packed.tobytes(), "little")
+def acs_step(bank: PathMetricBank, received: Sequence[int],
+             trellis: Trellis) -> tuple[PathMetricBank, int]:
+    """Advance the bank by one received symbol; returns it and the stage word."""
+    rows = np.concatenate([trellis.lower_sym, trellis.upper_sym])
+    bm = _SYMBOL_HAMMING[_pack_symbol(received), rows]
+    clamp = np.full(1, _sentinel(bank.metric.dtype), dtype=bank.metric.dtype)
+    metric, wins = _acs(bank.metric[:, np.newaxis], bm[:, np.newaxis], clamp)
+    word = np.packbits(wins[:, 0], bitorder="little")
+    return PathMetricBank(metric[:, 0]), int.from_bytes(word.tobytes(), "little")
 
 
-def acs_step(
-    bank: PathMetricBank, received: Sequence[int], trellis: Trellis
-) -> tuple[PathMetricBank, int]:
-    """Advance the metric bank by one received symbol.
-
-    Returns the new bank plus the survivor word for the consumed stage.
-    States whose predecessors are both unreachable stay unreachable and get
-    survivor bit 0.
-    """
-    rsym = _pack_symbol(received)
-    bm_lo, bm_hi = _branch_metrics(rsym, trellis)
-    metric, reachable, wins = _acs_core(bank.metric, bank.reachable, bm_lo, bm_hi, trellis)
-    return PathMetricBank(metric, reachable), _pack_word(wins)
-
-
-def _frame_symbols(coded: Sequence[int], trellis: Trellis) -> np.ndarray:
-    spec = trellis.spec
-    raw = np.asarray(coded)
-    expect = 2 * spec.frame_stages
-    if raw.ndim != 1 or raw.size != expect:
-        raise ValueError(f"coded frame must be {expect} bits, got {raw.size}")
-    if np.any((raw != 0) & (raw != 1)):
-        raise ValueError("coded frame must contain only 0/1 bits")
-    arr = raw.astype(np.uint8, copy=False)
-    return (arr[0::2] << 1) | arr[1::2]
-
-
-def _check_terminal(metric: np.ndarray, reachable: np.ndarray, stages: int) -> int:
-    if not reachable[0]:
-        # cannot happen once frame_stages >= K-1; guards internal breakage
-        raise RuntimeError("terminal state 0 unreachable after a full frame")
-    # documented bound: every reachable metric is at most 2 bits per stage
-    assert int(metric[reachable].max()) <= 2 * stages, "path metric bound breached"
-    return int(metric[0])
-
-
-def decode_frame(coded: Sequence[int], trellis: Trellis) -> DecodeResult:
-    """Decode one frame with trace-back survivor storage.
-
-    The zero tail pins the traceback start to state 0; the decoded frame is
-    the full ``frame_stages`` bits (payload plus tail) and ``final_metric``
-    is the Hamming distance between the input and the re-encoded decision.
-    """
-    spec = trellis.spec
-    rsyms = _frame_symbols(coded, trellis)
-    bm_lo, bm_hi = _branch_metrics(rsyms, trellis)
-    bank = PathMetricBank.initial(spec.num_states)
-    metric, reachable = bank.metric, bank.reachable
-    mem = SurvivorMemory.for_frame(trellis)
-    for t in range(spec.frame_stages):
-        metric, reachable, wins = _acs_core(metric, reachable, bm_lo[t], bm_hi[t], trellis)
-        mem.write_stage(_pack_word(wins))
-    final_metric = _check_terminal(metric, reachable, spec.frame_stages)
-    decoded = output_map(traceback(mem, 0))
-    activity = ActivityReport(
-        scheme=TRACEBACK,
-        survivor_bit_writes=mem.write_count,
-        metric_writes=spec.num_states * spec.frame_stages,
-        traceback_reads=spec.frame_stages,
-    )
-    return DecodeResult(decoded, final_metric, activity)
-
-
-def traceback(mem: SurvivorMemory, start_state: int) -> list[int]:
-    """Walk survivor words backward from ``start_state`` at the final stage.
-
-    For current state ``s`` the previous state is ``s >> 1`` plus half the
-    state count when the stored survivor bit is 1 (upper branch), else just
-    ``s >> 1``.  Returns the full state path, newest first, length
-    ``frame_stages + 1``.
-    """
-    if mem.stage_pointer != mem.frame_stages:
-        raise ValueError(
-            f"traceback needs a complete frame: {mem.stage_pointer} of "
-            f"{mem.frame_stages} stage words written"
-        )
-    half = mem.num_states >> 1
-    path = [start_state]
-    state = start_state
-    for t in range(mem.frame_stages - 1, -1, -1):
-        word = mem.stage_words[t]
-        if (word >> state) & 1:
-            state = (state >> 1) + half
-        else:
-            state = state >> 1
-        path.append(state)
-    return path
-
-
-def output_map(state_path: Sequence[int]) -> list[int]:
-    """Decoded bits from a newest-first state path.
-
-    The input bit that enters a state is that state's LSB (odd state means
-    1, even means 0); the parallel-to-serial reordering emits them oldest
-    first.
-    """
-    return [s & 1 for s in state_path[-2::-1]]
-
-
-def decode_frame_register_exchange(coded: Sequence[int], trellis: Trellis) -> DecodeResult:
-    """Decode one frame with register-exchange survivor storage.
-
-    Identical decisions and output as :func:`decode_frame`; the survivor
-    activity differs because every state's prefix register is rewritten at
-    every stage: ``num_states * (t + 1)`` bit writes at stage ``t``.
-    """
-    spec = trellis.spec
-    rsyms = _frame_symbols(coded, trellis)
-    bm_lo, bm_hi = _branch_metrics(rsyms, trellis)
-    num_states, stages = spec.num_states, spec.frame_stages
-    bank = PathMetricBank.initial(num_states)
-    metric, reachable = bank.metric, bank.reachable
-    prefixes = np.zeros((num_states, stages), dtype=np.uint8)
-    state_lsb = (np.arange(num_states, dtype=np.uint8) & 1).astype(np.uint8)
-    writes = 0
+def _acs_kernel(rsym: np.ndarray, trellis: Trellis) -> tuple[np.ndarray, np.ndarray]:
+    """ACS from state 0 over ``(T, n)`` packed symbols.  Returns the final
+    ``(S, n)`` metrics and ``(T, S, ceil(n / 8))`` stage words, frame ``i`` at
+    bit ``i % 8``."""
+    stages, n = rsym.shape
+    # int16 while every path metric (at most 2 per stage) fits under the sentinel
+    dtype = np.int16 if 2 * stages < _sentinel(np.int16) else np.int32
+    d = _SYMBOL_HAMMING.T.astype(dtype)[:, rsym]  # d[e, t, i]: distance to symbol e
+    rows = np.concatenate([trellis.lower_sym, trellis.upper_sym])
+    metric = np.full((trellis.num_states, n), _sentinel(dtype), dtype=dtype)
+    metric[0] = 0
+    clamp = np.full(n, _sentinel(dtype), dtype=dtype)  # a row broadcasts faster than a scalar
+    words = np.empty((stages, trellis.num_states, -(-n // 8)), dtype=np.uint8)
+    warmup = trellis.spec.constraint_length - 1  # only these stages have unreachable states
     for t in range(stages):
-        metric, reachable, wins = _acs_core(metric, reachable, bm_lo[t], bm_hi[t], trellis)
-        winner = np.where(wins, trellis.upper_pred, trellis.lower_pred)
-        prefixes = prefixes[winner]
-        prefixes[:, t] = state_lsb
-        writes += num_states * (t + 1)
-    final_metric = _check_terminal(metric, reachable, stages)
-    decoded = [int(b) for b in prefixes[0]]
-    activity = ActivityReport(
-        scheme=REGISTER_EXCHANGE,
-        survivor_bit_writes=writes,
-        metric_writes=num_states * stages,
-        traceback_reads=0,
-    )
-    return DecodeResult(decoded, final_metric, activity)
+        metric, wins = _acs(metric, d[rows, t], clamp if t < warmup else None)
+        words[t] = np.packbits(wins, axis=1, bitorder="little")
+    return metric, words
 
 
-def decode_frames(coded: np.ndarray, trellis: Trellis) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized trace-back decode of a ``(n, 2 * frame_stages)`` array.
+def traceback(words: np.ndarray, trellis: Trellis, frames: int, start_state: int = 0) -> np.ndarray:
+    """Trace-back survivor memory: each frame's state path, newest first.  Before
+    state ``s`` comes ``s >> 1``, plus ``S/2`` when its survivor bit is 1."""
+    stages = trellis.spec.frame_stages
+    if words.shape[0] != stages:
+        raise ValueError(f"traceback needs a complete frame: {words.shape[0]} of "
+                         f"{stages} stage words written")
+    pred = np.stack([trellis.lower_pred, trellis.upper_pred])
+    byte, shift = np.arange(frames) >> 3, (np.arange(frames) & 7).astype(np.uint8)
+    paths = np.empty((stages + 1, frames), dtype=np.int64)
+    paths[0] = state = np.full(frames, start_state, dtype=np.int64)
+    for k in range(1, stages + 1):
+        upper = (words[stages - k, state, byte] >> shift) & 1
+        paths[k] = state = pred[upper, state]
+    return paths.T
 
-    Returns ``(decoded, final_metrics)`` with shapes ``(n, frame_stages)``
-    and ``(n,)``.  Decision-for-decision identical to :func:`decode_frame`;
-    this is the Monte-Carlo fast path.
+
+def output_map(state_paths: np.ndarray) -> np.ndarray:
+    """Decoded bits, oldest first, from newest-first state paths: the bit that
+    enters a state is its LSB."""
+    return (np.asarray(state_paths)[..., -2::-1] & 1).astype(np.uint8)
+
+
+def _register_exchange(words: np.ndarray, trellis: Trellis, frames: int) -> np.ndarray:
+    """Register-exchange survivor memory: at stage ``t`` every state copies its
+    winner's ``ceil(L / 64)``-word uint64 register and sets bit ``t`` to its LSB."""
+    stages, half = words.shape[0], trellis.num_states >> 1
+    regs = np.zeros((2 * half, -(-stages // 64), frames), dtype=np.uint64)
+    for t in range(stages):
+        upper = np.unpackbits(words[t], axis=1, count=frames, bitorder="little")[:, np.newaxis]
+        lower = np.repeat(regs[:half], 2, axis=0)  # states 2j, 2j+1 both follow j or j+S/2
+        regs = lower ^ ((lower ^ np.repeat(regs[half:], 2, axis=0)) * upper)
+        regs[1::2, t >> 6] |= np.uint64(1 << (t & 63))
+    bit = np.arange(stages)
+    return ((regs[0, bit >> 6].T >> (bit & 63).astype(np.uint64)) & 1).astype(np.uint8)
+
+
+def _check_terminal(final: np.ndarray, stages: int) -> None:
+    # at most 2 per stage; an unreachable state 0 holds the sentinel and fails too
+    if final.size and int(final.max()) > 2 * stages:
+        raise RuntimeError(f"path metric bound breached: {int(final.max())} > 2 * {stages} stages")
+
+
+def decode_frames(coded: np.ndarray, trellis: Trellis,
+                  scheme: str = TRACEBACK) -> tuple[np.ndarray, np.ndarray]:
+    """Decode ``(n, 2 * L)`` coded frames to ``(decoded (n, L), final_metrics (n,))``.
+
+    The zero tail pins trace-back to state 0.  A decoded frame is payload plus
+    tail; its metric is the Hamming distance from the input to its re-encoding.
     """
     spec = trellis.spec
     raw = np.asarray(coded)
     if raw.ndim != 2 or raw.shape[1] != 2 * spec.frame_stages:
-        raise ValueError(
-            f"coded frames must have shape (n, {2 * spec.frame_stages}), got {raw.shape}"
-        )
+        raise ValueError(f"coded frames must have shape (n, {2 * spec.frame_stages}), "
+                         f"got {raw.shape}")
     if np.any((raw != 0) & (raw != 1)):
         raise ValueError("coded frames must contain only 0/1 bits")
-    arr = np.ascontiguousarray(raw, dtype=np.uint8)
-    n = arr.shape[0]
-    num_states, stages = spec.num_states, spec.frame_stages
-    rsym = (arr[:, 0::2] << 1) | arr[:, 1::2]
-
-    # Saturating-sentinel recursion: unreachable states simply carry a huge
-    # metric.  Survivor bits can then differ from acs_step on states whose
-    # predecessors are both unreachable, but a trace from state 0 only ever
-    # visits reachable states (a reachable state's winner is reachable), so
-    # decoded output and final metrics match acs_step exactly.
-    sentinel = np.int32(1) << np.int32(28)
-    bm_lo = _SYMBOL_HAMMING[rsym[:, :, np.newaxis], trellis.lower_sym]
-    bm_hi = _SYMBOL_HAMMING[rsym[:, :, np.newaxis], trellis.upper_sym]
-    metric = np.full((n, num_states), sentinel, dtype=np.int32)
-    metric[:, 0] = 0
-    lo, hi = trellis.lower_pred, trellis.upper_pred
-    wins_stack = np.empty((stages, n, num_states), dtype=bool)
-    for t in range(stages):
-        m_lo = metric[:, lo] + bm_lo[:, t]
-        m_hi = metric[:, hi] + bm_hi[:, t]
-        wins = m_hi < m_lo  # ties keep the lower predecessor
-        metric = np.where(wins, m_hi, m_lo)
-        wins_stack[t] = wins
-
-    final_metrics = metric[:, 0].astype(np.int64)
-    if n and int(final_metrics.max()) > 2 * stages:
-        raise RuntimeError("terminal state 0 unreachable after a full frame")
-    decoded = np.empty((n, stages), dtype=np.uint8)
-    states = np.zeros(n, dtype=np.int64)
-    rows = np.arange(n)
-    half = num_states >> 1
-    for t in range(stages - 1, -1, -1):
-        decoded[:, t] = (states & 1).astype(np.uint8)
-        upper = wins_stack[t][rows, states]
-        states = (states >> 1) + np.where(upper, half, 0)
+    if scheme not in (TRACEBACK, REGISTER_EXCHANGE):
+        raise ValueError(f"unknown survivor scheme {scheme!r}")
+    arr = raw.astype(np.uint8, copy=False)
+    rsym = ((arr[:, 0::2] << 1) | arr[:, 1::2]).T
+    decoded = np.empty((len(arr), spec.frame_stages), dtype=np.uint8)
+    final_metrics = np.empty(len(arr), dtype=np.int64)
+    for lo in range(0, len(arr), _BLOCK_FRAMES):
+        block = slice(lo, lo + _BLOCK_FRAMES)
+        metric, words = _acs_kernel(rsym[:, block], trellis)
+        final_metrics[block] = metric[0]
+        n = metric.shape[1]
+        decoded[block] = (output_map(traceback(words, trellis, n)) if scheme == TRACEBACK
+                          else _register_exchange(words, trellis, n))
+    _check_terminal(final_metrics, spec.frame_stages)
     return decoded, final_metrics
+
+
+def _decode_one(coded: Sequence[int], trellis: Trellis, scheme: str) -> DecodeResult:
+    raw, expect = np.asarray(coded), 2 * trellis.spec.frame_stages
+    if raw.ndim != 1 or raw.size != expect:
+        raise ValueError(f"coded frame must be {expect} bits, got {raw.size}")
+    decoded, metrics = decode_frames(raw[np.newaxis], trellis, scheme)
+    return DecodeResult(decoded[0].tolist(), int(metrics[0]),
+                        ActivityReport.for_frames(trellis.spec, scheme, 1))
+
+
+def decode_frame(coded: Sequence[int], trellis: Trellis) -> DecodeResult:
+    """Decode one frame with trace-back survivor storage."""
+    return _decode_one(coded, trellis, TRACEBACK)
+
+
+def decode_frame_register_exchange(coded: Sequence[int], trellis: Trellis) -> DecodeResult:
+    """Decode one frame with register-exchange survivor storage."""
+    return _decode_one(coded, trellis, REGISTER_EXCHANGE)
 
 
 @dataclass(frozen=True)
@@ -362,37 +234,16 @@ class StreamedFrame:
 
 
 def stream_decode(frames: Sequence[Sequence[int]], trellis: Trellis) -> list[StreamedFrame]:
-    """Decode a sequence of whole coded frames with the streaming contract.
-
-    Frame ``i`` occupies symbol clocks ``[i*L, (i+1)*L)`` and its decoded
-    bits exist only once its last symbol is consumed, so every frame
-    reports ``available_at_clock = (i+1)*L`` and a pipeline latency of
-    exactly ``L`` symbol clocks.  Metric recursion for frame ``i+1`` may
-    overlap frame ``i``'s trace-back, which is why the latency stays at one
-    frame.
-    """
-    spec = trellis.spec
-    stages = spec.frame_stages
+    """Decode whole frames; frame ``i`` fills symbol clocks ``[i*L, (i+1)*L)`` and is
+    available at ``(i+1)*L``, one frame of latency (recursion overlaps trace-back)."""
+    stages = trellis.spec.frame_stages
     frame_list = list(frames)
-    out: list[StreamedFrame] = []
     for i, frame in enumerate(frame_list):
         if len(frame) != 2 * stages:
             if i == len(frame_list) - 1 and len(frame) < 2 * stages:
-                raise ValueError(
-                    f"frame {i}: truncated final frame "
-                    f"({len(frame)} of {2 * stages} coded bits)"
-                )
-            raise ValueError(
-                f"frame {i}: expected {2 * stages} coded bits, got {len(frame)}"
-            )
-        result = decode_frame(frame, trellis)
-        out.append(
-            StreamedFrame(
-                index=i,
-                decoded=result.decoded,
-                final_metric=result.final_metric,
-                available_at_clock=(i + 1) * stages,
-                latency_clocks=stages,
-            )
-        )
-    return out
+                raise ValueError(f"frame {i}: truncated final frame "
+                                 f"({len(frame)} of {2 * stages} coded bits)")
+            raise ValueError(f"frame {i}: expected {2 * stages} coded bits, got {len(frame)}")
+    decoded, metrics = decode_frames(np.reshape(frame_list, (-1, 2 * stages)), trellis)
+    return [StreamedFrame(i, bits, metric, (i + 1) * stages, stages)
+            for i, (bits, metric) in enumerate(zip(decoded.tolist(), metrics.tolist()))]

@@ -43,8 +43,8 @@ def encode_frame(payload: Sequence[int], trellis: Trellis) -> list[int]:
         out.append(packed >> 1)
         out.append(packed & 1)
         state = int(next_table[idx])
-    # zero tail flushes the register
-    assert state == 0
+    if state != 0:
+        raise RuntimeError(f"zero tail left the encoder in state {state}, not 0")
     return out
 
 

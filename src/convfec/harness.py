@@ -19,14 +19,7 @@ from typing import IO, Iterable
 import numpy as np
 
 from .channel import NoiseConfig, add_awgn, bpsk_modulate, hard_quantize
-from .decoder import (
-    REGISTER_EXCHANGE,
-    TRACEBACK,
-    ActivityReport,
-    decode_frame,
-    decode_frame_register_exchange,
-    decode_frames,
-)
+from .decoder import REGISTER_EXCHANGE, TRACEBACK, ActivityReport, decode_frames
 from .encoder import encode_frames
 from .trellis import DEFAULT_SPEC, CodeSpec, build_trellis
 
@@ -72,6 +65,8 @@ class SweepConfig:
     noiseless: bool = False
 
     def __post_init__(self) -> None:
+        if not self.ebno_points:
+            raise ValueError("ebno_points must name at least one Eb/N0 point")
         if self.min_info_bits < 0:
             raise ValueError("min_info_bits must be nonnegative")
         if self.min_info_bits > self.max_info_bits:
@@ -188,18 +183,8 @@ def power_compare(cfg: SweepConfig) -> PowerCompareResult:
     trellis = build_trellis(spec)
     payload_len = spec.payload_length
     frames = cfg.max_info_bits // payload_len
-    if frames == 0:
-        return PowerCompareResult(
-            traceback=ActivityReport(TRACEBACK, 0, 0, 0),
-            register_exchange=ActivityReport(REGISTER_EXCHANGE, 0, 0, 0),
-            frames=0,
-            survivor_write_ratio=None,
-        )
     rng = np.random.default_rng(cfg.seed)
     noise = NoiseConfig(cfg.ebno_points[0], code_rate=0.5, seed=cfg.seed)
-
-    tb_survivor = tb_metric = tb_reads = 0
-    re_survivor = re_metric = re_reads = 0
     done = 0
     while done < frames:
         n = min(_BATCH_FRAMES, frames - done)
@@ -209,28 +194,27 @@ def power_compare(cfg: SweepConfig) -> PowerCompareResult:
         if not cfg.noiseless:
             symbols = add_awgn(symbols, noise, rng)
         received = hard_quantize(symbols).reshape(coded.shape)
-        for row in received:
-            tb = decode_frame(row, trellis)
-            re = decode_frame_register_exchange(row, trellis)
-            if tb.decoded != re.decoded or tb.final_metric != re.final_metric:
-                raise RuntimeError(
-                    f"survivor schemes disagree on frame {done}: "
-                    f"{tb.final_metric} vs {re.final_metric}"
-                )
-            tb_survivor += tb.activity.survivor_bit_writes
-            tb_metric += tb.activity.metric_writes
-            tb_reads += tb.activity.traceback_reads
-            re_survivor += re.activity.survivor_bit_writes
-            re_metric += re.activity.metric_writes
-            re_reads += re.activity.traceback_reads
-            done += 1
+        tb_bits, tb_metrics = decode_frames(received, trellis, TRACEBACK)
+        re_bits, re_metrics = decode_frames(received, trellis, REGISTER_EXCHANGE)
+        differ = np.flatnonzero((tb_bits != re_bits).any(axis=1) | (tb_metrics != re_metrics))
+        if differ.size:
+            i = int(differ[0])
+            raise RuntimeError(
+                f"survivor schemes disagree on frame {done + i}: "
+                f"{tb_metrics[i]} vs {re_metrics[i]}"
+            )
+        done += n
 
-    ratio = re_survivor / tb_survivor
+    traceback = ActivityReport.for_frames(spec, TRACEBACK, frames)
+    register_exchange = ActivityReport.for_frames(spec, REGISTER_EXCHANGE, frames)
     return PowerCompareResult(
-        traceback=ActivityReport(TRACEBACK, tb_survivor, tb_metric, tb_reads),
-        register_exchange=ActivityReport(REGISTER_EXCHANGE, re_survivor, re_metric, re_reads),
+        traceback=traceback,
+        register_exchange=register_exchange,
         frames=frames,
-        survivor_write_ratio=ratio,
+        survivor_write_ratio=(
+            register_exchange.survivor_bit_writes / traceback.survivor_bit_writes
+            if frames else None
+        ),
     )
 
 

@@ -6,6 +6,7 @@ as ground truth for the trellis decoder.  Guarded to 24 payload bits.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -16,9 +17,9 @@ from .trellis import CodeSpec, build_trellis
 
 MAX_PAYLOAD_BITS = 24
 
-# full codebooks are cached only while they stay small
+# full codebooks (up to 2^16 codewords) are cached, a few specs at a time
 _CACHE_PAYLOAD_BITS = 16
-_codebooks: dict[CodeSpec, np.ndarray] = {}
+_CACHED_CODEBOOKS = 4
 
 
 @dataclass(frozen=True)
@@ -42,13 +43,10 @@ def _payload_matrix(spec: CodeSpec, start: int, count: int) -> np.ndarray:
     return ((indices[:, np.newaxis] >> shifts) & 1).astype(np.uint8)
 
 
+@functools.lru_cache(maxsize=_CACHED_CODEBOOKS)
 def _codebook(spec: CodeSpec) -> np.ndarray:
-    book = _codebooks.get(spec)
-    if book is None:
-        trellis = build_trellis(spec)
-        book = encode_frames(_payload_matrix(spec, 0, 1 << spec.payload_length), trellis)
-        book.setflags(write=False)
-        _codebooks[spec] = book
+    book = encode_frames(_payload_matrix(spec, 0, 1 << spec.payload_length), build_trellis(spec))
+    book.setflags(write=False)
     return book
 
 

@@ -11,7 +11,7 @@ from convfec.decoder import (
     TRACEBACK,
     ActivityReport,
     PathMetricBank,
-    SurvivorMemory,
+    _acs_kernel,
     acs_step,
     branch_metric,
     decode_frame,
@@ -22,6 +22,7 @@ from convfec.decoder import (
     traceback,
 )
 from convfec.encoder import encode_frame, encode_frames
+from convfec.trellis import CodeSpec, build_trellis
 
 
 def _noisy_frames(trellis, n, ebno_db, seed):
@@ -63,10 +64,7 @@ def test_acs_first_stage_from_reset(default_trellis):
 
 def test_acs_equal_bases_adds_min_branch_metric(default_trellis):
     base = 5
-    bank = PathMetricBank(
-        metric=np.full(64, base, dtype=np.int64),
-        reachable=np.ones(64, dtype=bool),
-    )
+    bank = PathMetricBank(np.full(64, base, dtype=np.int64))
     received = (1, 0)
     new, word = acs_step(bank, received, default_trellis)
     for s in range(64):
@@ -83,48 +81,60 @@ def test_acs_equal_bases_adds_min_branch_metric(default_trellis):
 
 
 def test_survivor_memory_write_contract(default_trellis):
-    mem = SurvivorMemory.for_frame(default_trellis)
-    for _ in range(40):
-        mem.write_stage(0)
-    assert mem.stage_pointer == 40
-    assert mem.write_count == 64 * 40
-    with pytest.raises(ValueError, match="40 stage words"):
-        mem.write_stage(0)
+    # each stage word is written once, at its own stage: a run over the
+    # first t+1 symbols has already produced stage words 0..t exactly as the
+    # full frame leaves them, and a frame holds exactly 40 words of 64 bits
+    _, received = _noisy_frames(default_trellis, 19, ebno_db=0.0, seed=5)
+    rsym = (received[:, 0::2] << 1 | received[:, 1::2]).T
+    _, words = _acs_kernel(rsym, default_trellis)
+    assert words.shape == (40, 64, 3)
+    for t in (0, 5, 6, 20, 39):
+        _, prefix = _acs_kernel(rsym[: t + 1], default_trellis)
+        assert np.array_equal(prefix, words[: t + 1])
+    writes = ActivityReport.for_frames(default_trellis.spec, TRACEBACK, 1).survivor_bit_writes
+    assert writes == words.shape[0] * words.shape[1] == 64 * 40
 
 
 def test_traceback_requires_complete_frame(default_trellis):
-    mem = SurvivorMemory.for_frame(default_trellis)
-    mem.write_stage(0)
+    words = np.zeros((1, 64, 1), dtype=np.uint8)
     with pytest.raises(ValueError, match="complete frame"):
-        traceback(mem, 0)
+        traceback(words, default_trellis, 1)
 
 
-def test_traceback_upper_branch_rule():
+def test_traceback_upper_branch_rule(default_trellis):
     # survivor bit set for state 4: previous state is 4>>1 + 32 = 34
-    mem = SurvivorMemory(64, 1, [1 << 4], stage_pointer=1, write_count=64)
-    assert traceback(mem, 4) == [4, 34]
+    words = np.zeros((40, 64, 1), dtype=np.uint8)
+    words[39, 4, 0] = 1
+    assert traceback(words, default_trellis, 1, start_state=4)[0, :2].tolist() == [4, 34]
 
 
-def test_traceback_lower_branch_rule():
-    mem = SurvivorMemory(64, 1, [0], stage_pointer=1, write_count=64)
-    assert traceback(mem, 5) == [5, 2]
+def test_traceback_lower_branch_rule(default_trellis):
+    words = np.zeros((40, 64, 1), dtype=np.uint8)
+    assert traceback(words, default_trellis, 1, start_state=5)[0, :2].tolist() == [5, 2]
 
 
 def test_traceback_all_zero_memory(default_trellis):
-    mem = SurvivorMemory.for_frame(default_trellis)
-    for _ in range(40):
-        mem.write_stage(0)
-    assert traceback(mem, 0) == [0] * 41
+    words = np.zeros((40, 64, 1), dtype=np.uint8)
+    assert traceback(words, default_trellis, 1)[0].tolist() == [0] * 41
+
+
+def test_traceback_reads_each_frames_own_bit(default_trellis):
+    # frames share stage-word bytes, 8 to a byte: frame 9 is bit 1 of byte 1
+    words = np.zeros((40, 64, 2), dtype=np.uint8)
+    words[39, 4, 1] = 1 << 1
+    paths = traceback(words, default_trellis, 10, start_state=4)
+    assert paths[9, :2].tolist() == [4, 34]
+    assert paths[8, :2].tolist() == [4, 2]
 
 
 def test_output_map_state_parity():
     # newest-first path: state 5 entered at stage 1 decodes bit 0 to 1,
     # state 6 entered at stage 2 decodes bit 1 to 0
-    assert output_map([6, 5, 0]) == [1, 0]
+    assert output_map([6, 5, 0]).tolist() == [1, 0]
 
 
 def test_output_map_zero_path():
-    assert output_map([0] * 41) == [0] * 40
+    assert output_map([0] * 41).tolist() == [0] * 40
 
 
 def test_decode_clean_roundtrip(default_trellis):
@@ -279,3 +289,56 @@ def test_seven_error_pattern_corrected(default_trellis):
     decoded, metric, _ = decode_frame(noisy, default_trellis)
     assert decoded == [0] * 40
     assert metric == 7
+
+
+def test_activity_for_frames_scales_and_rejects_unknown_scheme(default_trellis):
+    spec = default_trellis.spec
+    assert ActivityReport.for_frames(spec, TRACEBACK, 3) == ActivityReport(
+        TRACEBACK, 3 * 2560, 3 * 2560, 3 * 40
+    )
+    assert ActivityReport.for_frames(spec, REGISTER_EXCHANGE, 0) == ActivityReport(
+        REGISTER_EXCHANGE, 0, 0, 0
+    )
+    with pytest.raises(ValueError, match="unknown survivor scheme"):
+        ActivityReport.for_frames(spec, "regex", 1)
+
+
+def test_batch_decode_both_schemes(default_trellis):
+    _, received = _noisy_frames(default_trellis, 100, ebno_db=0.5, seed=9)
+    tb_bits, tb_metrics = decode_frames(received, default_trellis)
+    re_bits, re_metrics = decode_frames(received, default_trellis, REGISTER_EXCHANGE)
+    assert np.array_equal(tb_bits, re_bits)
+    assert np.array_equal(tb_metrics, re_metrics)
+    with pytest.raises(ValueError, match="unknown survivor scheme"):
+        decode_frames(received, default_trellis, "regex")
+
+
+def test_batch_decode_empty(default_trellis):
+    for scheme in (TRACEBACK, REGISTER_EXCHANGE):
+        decoded, metrics = decode_frames(np.zeros((0, 80), dtype=np.uint8), default_trellis, scheme)
+        assert decoded.shape == (0, 40)
+        assert metrics.shape == (0,)
+
+
+def test_batch_decode_is_independent_of_batch_size(k3_trellis):
+    # more frames than one kernel block, and a count that is not a multiple of 8
+    words = np.random.default_rng(40).integers(0, 2, size=(4100, 10), dtype=np.uint8)
+    for scheme in (TRACEBACK, REGISTER_EXCHANGE):
+        decoded, metrics = decode_frames(words, k3_trellis, scheme)
+        pieces = [decode_frames(words[lo:lo + 13], k3_trellis, scheme) for lo in range(0, 4100, 13)]
+        assert np.array_equal(decoded, np.concatenate([p[0] for p in pieces]))
+        assert np.array_equal(metrics, np.concatenate([p[1] for p in pieces]))
+
+
+def test_register_exchange_spans_several_words():
+    # 150 stages: each prefix register holds three 64-bit words per frame
+    spec = CodeSpec.from_octal("7,5", constraint_length=3, frame_stages=150)
+    trellis = build_trellis(spec)
+    rng = np.random.default_rng(41)
+    payloads = rng.integers(0, 2, size=(9, spec.payload_length), dtype=np.uint8)
+    received = encode_frames(payloads, trellis)
+    received[:, ::17] ^= 1
+    tb_bits, tb_metrics = decode_frames(received, trellis)
+    re_bits, re_metrics = decode_frames(received, trellis, REGISTER_EXCHANGE)
+    assert np.array_equal(tb_bits, re_bits)
+    assert np.array_equal(tb_metrics, re_metrics)
