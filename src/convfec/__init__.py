@@ -8,7 +8,7 @@ codes, and a Monte-Carlo BER harness.
 """
 
 from .trellis import CodeSpec, Trellis, DEFAULT_SPEC, build_trellis, free_distance
-from .encoder import encode_frame, encode_frames, encode_stream
+from .encoder import encode_frame, encode_frames
 from .channel import (
     NoiseConfig,
     add_awgn,
@@ -71,7 +71,6 @@ __all__ = [
     "decode_frames",
     "encode_frame",
     "encode_frames",
-    "encode_stream",
     "free_distance",
     "hard_quantize",
     "inject_errors",

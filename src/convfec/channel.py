@@ -75,13 +75,17 @@ def hard_quantize(symbols: np.ndarray) -> np.ndarray:
     return (arr < 0.0).astype(np.uint8)
 
 
-def inject_errors(bits: Sequence[int], positions: Iterable[int]) -> list[int]:
-    """Flip exactly the listed bit positions; an involution for a fixed set."""
-    out = [int(b) for b in bits]
-    for pos in set(positions):
-        if not 0 <= pos < len(out):
-            raise ValueError(
-                f"error position {pos} out of range for a {len(out)}-bit frame"
-            )
-        out[pos] ^= 1
+def inject_errors(bits: np.ndarray, positions: Iterable[int]) -> np.ndarray:
+    """Flip exactly the listed positions along the last axis of ``bits``.
+
+    Every frame (row) gets the same flips; returns a new uint8 array.  An
+    involution for a fixed position set.
+    """
+    out = np.array(bits, dtype=np.uint8)
+    width = out.shape[-1]
+    flips = sorted(set(positions))
+    for pos in flips:
+        if not 0 <= pos < width:
+            raise ValueError(f"error position {pos} out of range for a {width}-bit frame")
+    out[..., flips] ^= 1
     return out

@@ -11,6 +11,7 @@ must precede the subcommand, e.g.::
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import tempfile
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .decoder import REGISTER_EXCHANGE, TRACEBACK, ActivityReport, decode_frames
-from .encoder import encode_stream
+from .encoder import encode_frames
 from .channel import inject_errors
 from .harness import (
     SweepConfig,
@@ -141,39 +142,37 @@ def _resolve_spec(args: argparse.Namespace) -> CodeSpec:
         raise CliError(f"bad code parameters (-K/--generators/-L): {exc}") from exc
 
 
-def _read_frames(path: str, expected_len: int, what: str) -> list[list[int]]:
+def _read_frames(path: str, expected_len: int, what: str) -> np.ndarray:
+    """Read a file of '0'/'1' lines into one ``(n, expected_len)`` uint8 array."""
     if path == "-":
-        frames = _parse_lines(sys.stdin, expected_len, what)
-    else:
-        try:
-            with open(path, "r", encoding="ascii") as fp:
-                frames = _parse_lines(fp, expected_len, what)
-        except OSError as exc:
-            raise CliError(f"cannot read {path}: {exc.strerror}") from exc
-    return frames
+        return _parse_lines(sys.stdin, expected_len, what)
+    try:
+        with open(path, "r", encoding="ascii") as fp:
+            return _parse_lines(fp, expected_len, what)
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc.strerror}") from exc
 
 
-def _parse_lines(fp, expected_len: int, what: str) -> list[list[int]]:
-    frames: list[list[int]] = []
+def _parse_lines(fp, expected_len: int, what: str) -> np.ndarray:
+    lines: list[str] = []
     for lineno, raw in enumerate(fp, 1):
         line = raw.rstrip("\r\n")
         if not line:
             continue
-        bits: list[int] = []
-        for ch in line:
-            if ch not in "01":
-                raise CliError(
-                    f"line {lineno}: invalid character {ch!r} "
-                    "(frames are lines of '0'/'1')"
-                )
-            bits.append(ord(ch) - 48)
-        if len(bits) != expected_len:
+        bad = line.lstrip("01")
+        if bad:
+            raise CliError(
+                f"line {lineno}: invalid character {bad[0]!r} "
+                "(frames are lines of '0'/'1')"
+            )
+        if len(line) != expected_len:
             raise CliError(
                 f"line {lineno}: {what} frame must be {expected_len} bits, "
-                f"got {len(bits)}"
+                f"got {len(line)}"
             )
-        frames.append(bits)
-    return frames
+        lines.append(line)
+    digits = np.frombuffer("".join(lines).encode("ascii"), dtype=np.uint8)
+    return (digits - ord("0")).reshape(len(lines), expected_len)
 
 
 def _format_frames(frames: Sequence[Sequence[int]]) -> str:
@@ -214,11 +213,7 @@ def _spec_summary(spec: CodeSpec) -> str:
 def _cmd_encode(args: argparse.Namespace, spec: CodeSpec) -> int:
     trellis = build_trellis(spec)
     payloads = _read_frames(args.input, spec.payload_length, "payload")
-    try:
-        coded = encode_stream(payloads, trellis)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    _write_text(args.output, _format_frames(coded))
+    _write_text(args.output, _format_frames(encode_frames(payloads, trellis)))
     return 0
 
 
@@ -226,8 +221,7 @@ def _cmd_decode(args: argparse.Namespace, spec: CodeSpec) -> int:
     trellis = build_trellis(spec)
     frames = _read_frames(args.input, 2 * spec.frame_stages, "coded")
     scheme = TRACEBACK if args.scheme == "traceback" else REGISTER_EXCHANGE
-    coded = np.array(frames, dtype=np.uint8).reshape(len(frames), 2 * spec.frame_stages)
-    decoded, _ = decode_frames(coded, trellis, scheme)
+    decoded, _ = decode_frames(frames, trellis, scheme)
     _write_text(args.output, _format_frames(decoded[:, : spec.payload_length]))
     if args.activity is not None:
         report = ActivityReport.for_frames(spec, scheme, len(frames))
@@ -255,44 +249,39 @@ def _cmd_inject_errors(args: argparse.Namespace, spec: CodeSpec) -> int:
     except ValueError:
         raise CliError(f"--positions must be comma-separated integers, got {args.positions!r}")
     frames = _read_frames(args.input, 2 * spec.frame_stages, "coded")
-    out = []
-    for i, frame in enumerate(frames):
-        try:
-            out.append(inject_errors(frame, positions))
-        except ValueError as exc:
-            raise CliError(f"frame {i}: {exc}") from exc
-    _write_text(args.output, _format_frames(out))
+    _write_text(args.output, _format_frames(inject_errors(frames, positions)))
     return 0
 
 
 def _parse_ebno(text: str) -> tuple[float, ...]:
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise CliError(f"--ebno range must be start:step:stop, got {text!r}")
-        try:
-            start, step, stop = (float(p) for p in parts)
-        except ValueError:
-            raise CliError(f"--ebno range must be numeric, got {text!r}") from None
-        if step <= 0:
-            raise CliError("--ebno range step must be positive")
-        points = []
-        value = start
-        while value <= stop + 1e-9:
-            points.append(round(value, 9))
-            value += step
-        return tuple(points)
+    is_range = ":" in text
+    parts = text.split(":" if is_range else ",")
+    if is_range and len(parts) != 3:
+        raise CliError(f"--ebno range must be start:step:stop, got {text!r}")
     try:
-        return tuple(float(p) for p in text.split(","))
+        values = tuple(float(p) for p in parts)
     except ValueError:
         raise CliError(f"--ebno must be numeric, got {text!r}") from None
+    if not all(map(math.isfinite, values)):
+        raise CliError(f"--ebno must be finite, got {text!r}")
+    if not is_range:
+        return values
+    start, step, stop = values
+    if step <= 0:
+        raise CliError("--ebno range step must be positive")
+    points = []
+    value = start
+    while value <= stop + 1e-9:
+        points.append(round(value, 9))
+        value += step
+    return tuple(points)
 
 
 def _parse_bit_count(text: str, flag: str) -> int:
     try:
         value = int(float(text))
-    except ValueError:
-        raise CliError(f"{flag} must be a number, got {text!r}") from None
+    except (ValueError, OverflowError):  # OverflowError: inf, or 1e400 read as inf
+        raise CliError(f"{flag} must be a finite number, got {text!r}") from None
     if value < 0:
         raise CliError(f"{flag} must be nonnegative")
     return value

@@ -6,17 +6,11 @@ frame in state 0 and frames encode independently.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .trellis import Trellis
-
-
-def _check_bits(bits: Sequence[int], what: str) -> None:
-    for b in bits:
-        if b not in (0, 1):
-            raise ValueError(f"{what} must contain only 0/1 bits, found {b!r}")
 
 
 def encode_frame(payload: Sequence[int], trellis: Trellis) -> list[int]:
@@ -24,47 +18,20 @@ def encode_frame(payload: Sequence[int], trellis: Trellis) -> list[int]:
 
     The payload must be exactly ``payload_length`` bits; the K-1 zero tail
     is appended here.  Output bit order per stage: first generator's bit,
-    then the second generator's bit.
+    then the second generator's bit.  A one-frame :func:`encode_frames`.
     """
     spec = trellis.spec
     if len(payload) != spec.payload_length:
         raise ValueError(
             f"payload must be {spec.payload_length} bits, got {len(payload)}"
         )
-    _check_bits(payload, "payload")
-
-    next_table = trellis.next_state_table
-    sym_table = trellis.symbol_table
-    out: list[int] = []
-    state = 0
-    for b in list(payload) + [0] * spec.tail_length:
-        idx = 2 * state + b
-        packed = int(sym_table[idx])
-        out.append(packed >> 1)
-        out.append(packed & 1)
-        state = int(next_table[idx])
-    if state != 0:
-        raise RuntimeError(f"zero tail left the encoder in state {state}, not 0")
-    return out
-
-
-def encode_stream(payloads: Iterable[Sequence[int]], trellis: Trellis) -> list[list[int]]:
-    """Encode a sequence of payload frames; frame index is added to errors."""
-    coded: list[list[int]] = []
-    for i, payload in enumerate(payloads):
-        try:
-            coded.append(encode_frame(payload, trellis))
-        except ValueError as exc:
-            raise ValueError(f"frame {i}: {exc}") from exc
-    return coded
+    return encode_frames(np.asarray(payload)[np.newaxis], trellis)[0].tolist()
 
 
 def encode_frames(payloads: np.ndarray, trellis: Trellis) -> np.ndarray:
-    """Vectorized :func:`encode_frame` over a ``(n, payload_length)`` array.
+    """Encode a ``(n, payload_length)`` array of payloads, one frame per row.
 
     Returns the coded frames as a ``(n, 2 * frame_stages)`` uint8 array.
-    Used by the Monte-Carlo harness; agrees bit for bit with
-    :func:`encode_frame`.
     """
     spec = trellis.spec
     raw = np.asarray(payloads)
@@ -89,6 +56,11 @@ def encode_frames(payloads: np.ndarray, trellis: Trellis) -> np.ndarray:
             idx = 2 * state
         syms[:, t] = sym_table[idx]
         state = next_table[idx]
+    stuck = np.flatnonzero(state)
+    if stuck.size:
+        raise RuntimeError(
+            f"zero tail left the encoder in state {int(state[stuck[0]])}, not 0"
+        )
 
     coded = np.empty((n, 2 * stages), dtype=np.uint8)
     coded[:, 0::2] = syms >> 1

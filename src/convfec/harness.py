@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -33,6 +33,9 @@ POWER_CSV_HEADER = (
 
 # frames per Monte-Carlo batch; fixed so stopping decisions are reproducible
 _BATCH_FRAMES = 2048
+
+# a per-batch stage of a scheme: bit rows in, bit rows out
+_Stage = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -89,58 +92,38 @@ def _stop(cfg: SweepConfig, info_bits: int, bit_errors: int) -> bool:
     return bit_errors >= cfg.stop_at_errors or info_bits >= cfg.max_info_bits
 
 
-def _run_uncoded(cfg: SweepConfig, ebno_db: float, rng: np.random.Generator) -> BerPoint:
-    # framed in payload-sized blocks so frame_errors is comparable to the
-    # coded scheme
+def _channel(sent: np.ndarray, noise: NoiseConfig, rng: np.random.Generator,
+             noiseless: bool) -> np.ndarray:
+    """BPSK, AWGN (skipped when ``noiseless``) and the hard slicer, shape kept."""
+    symbols = bpsk_modulate(sent.ravel())
+    if not noiseless:
+        symbols = add_awgn(symbols, noise, rng)
+    return hard_quantize(symbols).reshape(sent.shape)
+
+
+def _run_point(
+    cfg: SweepConfig, scheme: str, ebno_db: float, code_rate: float,
+    rng: np.random.Generator, transmit: _Stage, receive: _Stage,
+) -> BerPoint:
+    """One (point, scheme) cell: ``transmit`` maps payload rows to channel
+    rows, ``receive`` maps hard decisions back to payload rows."""
+    # every scheme runs payload-sized frames, so frame_errors compare
     block = cfg.spec.payload_length
-    noise = NoiseConfig(ebno_db, code_rate=1.0, seed=cfg.seed)
+    noise = NoiseConfig(ebno_db, code_rate=code_rate, seed=cfg.seed)
     info_bits = bit_errors = frame_errors = 0
     while True:
         remaining = -(-(cfg.max_info_bits - info_bits) // block)
         n = max(1, min(_BATCH_FRAMES, remaining))
-        bits = rng.integers(0, 2, size=(n, block), dtype=np.uint8)
-        symbols = bpsk_modulate(bits.ravel())
-        if not cfg.noiseless:
-            symbols = add_awgn(symbols, noise, rng)
-        decided = hard_quantize(symbols).reshape(n, block)
-        wrong = decided != bits
+        payloads = rng.integers(0, 2, size=(n, block), dtype=np.uint8)
+        received = _channel(transmit(payloads), noise, rng, cfg.noiseless)
+        wrong = receive(received) != payloads
         info_bits += n * block
         bit_errors += int(np.count_nonzero(wrong))
         frame_errors += int(np.count_nonzero(wrong.any(axis=1)))
         if _stop(cfg, info_bits, bit_errors):
             break
     return BerPoint(
-        UNCODED_BPSK, ebno_db, info_bits, bit_errors, frame_errors,
-        bit_errors / info_bits, cfg.seed,
-    )
-
-
-def _run_coded(
-    cfg: SweepConfig, trellis, ebno_db: float, rng: np.random.Generator
-) -> BerPoint:
-    spec = trellis.spec
-    payload_len = spec.payload_length
-    noise = NoiseConfig(ebno_db, code_rate=0.5, seed=cfg.seed)
-    info_bits = bit_errors = frame_errors = 0
-    while True:
-        remaining = -(-(cfg.max_info_bits - info_bits) // payload_len)
-        n = max(1, min(_BATCH_FRAMES, remaining))
-        payloads = rng.integers(0, 2, size=(n, payload_len), dtype=np.uint8)
-        coded = encode_frames(payloads, trellis)
-        symbols = bpsk_modulate(coded.ravel())
-        if not cfg.noiseless:
-            symbols = add_awgn(symbols, noise, rng)
-        received = hard_quantize(symbols).reshape(coded.shape)
-        decoded, _ = decode_frames(received, trellis)
-        # tail bits never count toward BER
-        wrong = decoded[:, :payload_len] != payloads
-        info_bits += n * payload_len
-        bit_errors += int(np.count_nonzero(wrong))
-        frame_errors += int(np.count_nonzero(wrong.any(axis=1)))
-        if _stop(cfg, info_bits, bit_errors):
-            break
-    return BerPoint(
-        CODED_VITERBI, ebno_db, info_bits, bit_errors, frame_errors,
+        scheme, ebno_db, info_bits, bit_errors, frame_errors,
         bit_errors / info_bits, cfg.seed,
     )
 
@@ -148,14 +131,20 @@ def _run_coded(
 def ber_sweep(cfg: SweepConfig) -> list[BerPoint]:
     """Run the sweep; two :class:`BerPoint` rows per Eb/N0 value."""
     trellis = build_trellis(cfg.spec)
-    children = np.random.SeedSequence(cfg.seed).spawn(2 * len(cfg.ebno_points))
-    points: list[BerPoint] = []
-    for i, ebno_db in enumerate(cfg.ebno_points):
-        points.append(_run_uncoded(cfg, ebno_db, np.random.default_rng(children[2 * i])))
-        points.append(
-            _run_coded(cfg, trellis, ebno_db, np.random.default_rng(children[2 * i + 1]))
-        )
-    return points
+    payload_len = cfg.spec.payload_length
+    # (scheme, code rate, transmit, receive); tail bits never count toward BER
+    schemes = (
+        (UNCODED_BPSK, 1.0, lambda bits: bits, lambda bits: bits),
+        (CODED_VITERBI, 0.5, lambda payloads: encode_frames(payloads, trellis),
+         lambda received: decode_frames(received, trellis)[0][:, :payload_len]),
+    )
+    children = iter(np.random.SeedSequence(cfg.seed).spawn(len(schemes) * len(cfg.ebno_points)))
+    return [
+        _run_point(cfg, scheme, ebno_db, rate, np.random.default_rng(next(children)),
+                   transmit, receive)
+        for ebno_db in cfg.ebno_points
+        for scheme, rate, transmit, receive in schemes
+    ]
 
 
 @dataclass(frozen=True)
@@ -189,11 +178,7 @@ def power_compare(cfg: SweepConfig) -> PowerCompareResult:
     while done < frames:
         n = min(_BATCH_FRAMES, frames - done)
         payloads = rng.integers(0, 2, size=(n, payload_len), dtype=np.uint8)
-        coded = encode_frames(payloads, trellis)
-        symbols = bpsk_modulate(coded.ravel())
-        if not cfg.noiseless:
-            symbols = add_awgn(symbols, noise, rng)
-        received = hard_quantize(symbols).reshape(coded.shape)
+        received = _channel(encode_frames(payloads, trellis), noise, rng, cfg.noiseless)
         tb_bits, tb_metrics = decode_frames(received, trellis, TRACEBACK)
         re_bits, re_metrics = decode_frames(received, trellis, REGISTER_EXCHANGE)
         differ = np.flatnonzero((tb_bits != re_bits).any(axis=1) | (tb_metrics != re_metrics))
@@ -238,10 +223,3 @@ def format_power_csv(result: PowerCompareResult) -> str:
         )
     return "\n".join(lines) + "\n"
 
-
-def write_ber_csv(points: Iterable[BerPoint], fp: IO[str]) -> None:
-    fp.write(format_ber_csv(points))
-
-
-def write_power_csv(result: PowerCompareResult, fp: IO[str]) -> None:
-    fp.write(format_power_csv(result))

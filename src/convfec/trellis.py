@@ -49,6 +49,16 @@ class CodeSpec:
                 )
             if any(t not in (0, 1) for t in taps):
                 raise ValueError(f"generator {i} taps must be 0/1, got {taps!r}")
+        # g(D) = sum taps[j] D^j; a common factor other than D^m makes the
+        # code catastrophic (Massey and Sain, 1968)
+        a, b = (sum(int(t) << j for j, t in enumerate(taps)) for taps in self.generators)
+        while b:  # Euclid over GF(2): reduce a modulo b, then swap
+            while a.bit_length() >= b.bit_length():
+                a ^= b << (a.bit_length() - b.bit_length())
+            a, b = b, a
+        if a & (a - 1):
+            raise ValueError(f"catastrophic generator pair {self.generators_octal}: "
+                             "g1(D) and g2(D) share a factor other than a power of D")
         if self.frame_stages < k:
             raise ValueError(
                 f"frame_stages must be >= constraint length ({k}), got {self.frame_stages}"

@@ -78,27 +78,38 @@ def test_hard_decision_flip_probability_matches_q():
 
 def test_inject_empty_set_is_identity():
     frame = [0, 1, 1, 0]
-    assert inject_errors(frame, set()) == frame
+    assert inject_errors(frame, set()).tolist() == frame
 
 
 def test_inject_seven_error_pattern():
     positions = {3, 17, 30, 41, 55, 60, 76}
     frame = inject_errors([0] * 80, positions)
-    assert sum(frame) == 7
-    assert {i for i, b in enumerate(frame) if b} == positions
+    assert frame.dtype == np.uint8
+    assert sum(frame.tolist()) == 7
+    assert {i for i, b in enumerate(frame.tolist()) if b} == positions
 
 
 def test_inject_is_involution():
     rng = np.random.default_rng(9)
     frame = [int(b) for b in rng.integers(0, 2, size=80)]
     positions = {1, 5, 40, 79}
-    assert inject_errors(inject_errors(frame, positions), positions) == frame
+    assert inject_errors(inject_errors(frame, positions), positions).tolist() == frame
 
 
 def test_inject_changes_distance_by_pattern_size():
     frame = [0] * 80
     out = inject_errors(frame, {2, 4, 6})
-    assert sum(a != b for a, b in zip(frame, out)) == 3
+    assert sum(a != b for a, b in zip(frame, out.tolist())) == 3
+
+
+def test_inject_flips_every_row_of_a_2d_array():
+    rng = np.random.default_rng(10)
+    frames = rng.integers(0, 2, size=(5, 80), dtype=np.uint8)
+    before = frames.copy()
+    out = inject_errors(frames, [0, 7, 79, 7])
+    assert out.shape == (5, 80) and out.dtype == np.uint8
+    assert (out ^ frames).tolist() == [[int(i in (0, 7, 79)) for i in range(80)]] * 5
+    assert np.array_equal(frames, before)  # the input is not modified
 
 
 def test_inject_rejects_out_of_range():
@@ -106,3 +117,5 @@ def test_inject_rejects_out_of_range():
         inject_errors([0] * 80, {80})
     with pytest.raises(ValueError):
         inject_errors([0] * 80, {-1})
+    with pytest.raises(ValueError, match="out of range"):
+        inject_errors(np.zeros((0, 80), dtype=np.uint8), {80})

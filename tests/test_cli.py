@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from convfec.cli import run
+from convfec.cli import CliError, _parse_ebno, run
 
 
 def _bits(line: str) -> list[int]:
@@ -76,6 +76,27 @@ def test_malformed_line_diagnostic(tmp_path, capsys):
     assert not (tmp_path / "out.txt").exists()  # no partial output
 
 
+def test_short_line_with_bad_character_reports_the_character(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("0" * 34 + "\n" + "0" * 34 + "\n01 1\n")
+    assert run(["encode", "-i", str(bad), "-o", "-"]) == 1
+    err = capsys.readouterr().err
+    assert "line 3: invalid character ' '" in err
+    assert "34 bits" not in err
+
+
+def test_crlf_input_decodes_byte_identically(tmp_path, payload_file):
+    payloads, _ = payload_file
+    coded = tmp_path / "coded.txt"
+    run(["encode", "-i", str(payloads), "-o", str(coded)])
+    crlf = tmp_path / "coded_crlf.txt"
+    crlf.write_bytes(coded.read_bytes().replace(b"\n", b"\r\n"))
+    plain_out, crlf_out = tmp_path / "plain.txt", tmp_path / "crlf.txt"
+    assert run(["decode", "-i", str(coded), "-o", str(plain_out)]) == 0
+    assert run(["decode", "-i", str(crlf), "-o", str(crlf_out)]) == 0
+    assert crlf_out.read_bytes() == plain_out.read_bytes()
+
+
 def test_wrong_length_line_diagnostic(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("0101\n")
@@ -109,6 +130,17 @@ def test_inject_errors_range_diagnostic(tmp_path, payload_file, capsys):
     run(["encode", "-i", str(payloads), "-o", str(coded)])
     assert run(["inject-errors", "--positions", "99", "-i", str(coded), "-o", "-"]) == 1
     assert "out of range" in capsys.readouterr().err
+
+
+def test_inject_errors_range_checked_on_empty_input(tmp_path, capsys):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    out = tmp_path / "out.txt"
+    assert run(["inject-errors", "--positions", "99", "-i", str(empty), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "out of range" in err
+    assert not out.exists()
 
 
 def test_seven_error_pattern_end_to_end(tmp_path):
@@ -161,6 +193,14 @@ def test_bad_spec_flags_diagnostic(capsys):
     assert "--generators" in capsys.readouterr().err
 
 
+def test_catastrophic_generators_diagnostic(capsys):
+    assert run(["-K", "3", "--generators", "6,5", "-L", "5", "--spec-dump"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "catastrophic" in captured.err
+
+
 def test_version(capsys):
     assert run(["--version"]) == 0
     assert "convfec" in capsys.readouterr().out
@@ -208,6 +248,24 @@ def test_ber_sweep_ebno_list(tmp_path):
 def test_ber_sweep_bad_ebno(capsys):
     assert run(["ber-sweep", "--ebno", "4:0:8"]) == 1
     assert "step" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [("--max-bits", "inf"), ("--min-bits", "1e400"),
+                                        ("--max-bits", "nan")])
+def test_ber_sweep_non_finite_bit_count(tmp_path, capsys, flag, value):
+    out = tmp_path / "ber.csv"
+    assert run(["ber-sweep", "--ebno", "1", flag, value, "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert flag in err and "finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["0:1:inf", "0:nan:2", "-inf:1:2", "1,inf", "nan"])
+def test_parse_ebno_rejects_non_finite(text):
+    # called directly: a range that never ends must fail before its loop
+    with pytest.raises(CliError, match="finite"):
+        _parse_ebno(text)
 
 
 def test_power_compare_csv(tmp_path):

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from convfec.encoder import encode_frame, encode_frames, encode_stream
+from convfec.encoder import encode_frame, encode_frames
 
 from reference import reference_encode
 
@@ -60,27 +60,24 @@ def test_linearity(default_trellis):
         assert cab == [x ^ y for x, y in zip(ca, cb)]
 
 
-def test_stream_empty(default_trellis):
-    assert encode_stream([], default_trellis) == []
+def test_batch_empty(default_trellis):
+    coded = encode_frames(np.zeros((0, 34), dtype=np.uint8), default_trellis)
+    assert coded.shape == (0, 80)
 
 
-def test_stream_is_elementwise(default_trellis):
+def test_batch_is_elementwise(default_trellis):
     rng = random.Random(13)
     p1 = [rng.randrange(2) for _ in range(34)]
     p2 = [rng.randrange(2) for _ in range(34)]
-    assert encode_stream([p1, p2], default_trellis) == [
+    assert encode_frames(np.array([p1, p2]), default_trellis).tolist() == [
         encode_frame(p1, default_trellis),
         encode_frame(p2, default_trellis),
     ]
 
 
-def test_stream_two_zero_frames(default_trellis):
-    assert encode_stream([[0] * 34, [0] * 34], default_trellis) == [[0] * 80, [0] * 80]
-
-
-def test_stream_error_names_frame(default_trellis):
-    with pytest.raises(ValueError, match="frame 1"):
-        encode_stream([[0] * 34, [0] * 5], default_trellis)
+def test_batch_two_zero_frames(default_trellis):
+    coded = encode_frames(np.zeros((2, 34), dtype=np.uint8), default_trellis)
+    assert coded.tolist() == [[0] * 80, [0] * 80]
 
 
 def test_batch_matches_scalar(default_trellis):
@@ -89,7 +86,7 @@ def test_batch_matches_scalar(default_trellis):
     coded = encode_frames(payloads, default_trellis)
     assert coded.shape == (64, 80)
     for row_in, row_out in zip(payloads, coded):
-        assert list(row_out) == encode_frame(list(row_in), default_trellis)
+        assert list(row_out) == reference_encode(list(row_in), default_trellis.spec)
 
 
 def test_batch_rejects_bad_shape(default_trellis):

@@ -8,6 +8,7 @@ the same on every run and the suite stays deterministic.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -156,3 +157,14 @@ def test_catastrophic_filter():
     assert not _non_catastrophic(0b11, 0b11)
     assert _non_catastrophic(0b111, 0b101)  # octal 7,5
     assert _non_catastrophic(0b110, 0b100)  # common factor D is only a delay
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_code_spec_rejects_exactly_the_catastrophic_pairs(k):
+    for g1 in range(1, 1 << k):
+        for g2 in range(1, 1 << k):
+            if _non_catastrophic(g1, g2):
+                _spec(k, g1, g2, k)
+            else:
+                with pytest.raises(ValueError, match="catastrophic"):
+                    _spec(k, g1, g2, k)
