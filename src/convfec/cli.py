@@ -187,14 +187,14 @@ def _write_text(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
         return
-    target = os.path.abspath(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".convfec-")
+    target, tmp = os.path.abspath(path), None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".convfec-")
         with os.fdopen(fd, "w", encoding="ascii") as fp:
             fp.write(text)
         os.replace(tmp, target)  # no partial output files
     except OSError as exc:
-        if os.path.exists(tmp):
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
         raise CliError(f"cannot write {path}: {exc.strerror}") from exc
 
@@ -288,7 +288,7 @@ def _parse_bit_count(text: str, flag: str) -> int:
 
 
 def _cmd_ber_sweep(args: argparse.Namespace, spec: CodeSpec) -> int:
-    cfg_kwargs = dict(
+    cfg = SweepConfig(
         ebno_points=_parse_ebno(args.ebno),
         min_info_bits=_parse_bit_count(args.min_bits, "--min-bits"),
         max_info_bits=_parse_bit_count(args.max_bits, "--max-bits"),
@@ -296,10 +296,6 @@ def _cmd_ber_sweep(args: argparse.Namespace, spec: CodeSpec) -> int:
         seed=args.seed,
         spec=spec,
     )
-    try:
-        cfg = SweepConfig(**cfg_kwargs)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
     _write_text(args.out, format_ber_csv(ber_sweep(cfg)))
     return 0
 

@@ -101,8 +101,7 @@ def _acs(metric: np.ndarray, bm: np.ndarray,
 def acs_step(bank: PathMetricBank, received: Sequence[int],
              trellis: Trellis) -> tuple[PathMetricBank, int]:
     """Advance the bank by one received symbol; returns it and the stage word."""
-    rows = np.concatenate([trellis.lower_sym, trellis.upper_sym])
-    bm = _SYMBOL_HAMMING[_pack_symbol(received), rows]
+    bm = _SYMBOL_HAMMING[_pack_symbol(received), trellis.symbol_table]
     clamp = np.full(1, _sentinel(bank.metric.dtype), dtype=bank.metric.dtype)
     metric, wins = _acs(bank.metric[:, np.newaxis], bm[:, np.newaxis], clamp)
     word = np.packbits(wins[:, 0], bitorder="little")
@@ -117,14 +116,13 @@ def _acs_kernel(rsym: np.ndarray, trellis: Trellis) -> tuple[np.ndarray, np.ndar
     # int16 while every path metric (at most 2 per stage) fits under the sentinel
     dtype = np.int16 if 2 * stages < _sentinel(np.int16) else np.int32
     d = _SYMBOL_HAMMING.T.astype(dtype)[:, rsym]  # d[e, t, i]: distance to symbol e
-    rows = np.concatenate([trellis.lower_sym, trellis.upper_sym])
     metric = np.full((trellis.num_states, n), _sentinel(dtype), dtype=dtype)
     metric[0] = 0
     clamp = np.full(n, _sentinel(dtype), dtype=dtype)  # a row broadcasts faster than a scalar
     words = np.empty((stages, trellis.num_states, -(-n // 8)), dtype=np.uint8)
     warmup = trellis.spec.constraint_length - 1  # only these stages have unreachable states
     for t in range(stages):
-        metric, wins = _acs(metric, d[rows, t], clamp if t < warmup else None)
+        metric, wins = _acs(metric, d[trellis.symbol_table, t], clamp if t < warmup else None)
         words[t] = np.packbits(wins, axis=1, bitorder="little")
     return metric, words
 
@@ -136,13 +134,13 @@ def traceback(words: np.ndarray, trellis: Trellis, frames: int, start_state: int
     if words.shape[0] != stages:
         raise ValueError(f"traceback needs a complete frame: {words.shape[0]} of "
                          f"{stages} stage words written")
-    pred = np.stack([trellis.lower_pred, trellis.upper_pred])
-    byte, shift = np.arange(frames) >> 3, (np.arange(frames) & 7).astype(np.uint8)
+    half = trellis.num_states >> 1
+    byte, shift = np.arange(frames) >> 3, np.arange(frames) & 7  # intp, so upper * half cannot wrap
     paths = np.empty((stages + 1, frames), dtype=np.int64)
     paths[0] = state = np.full(frames, start_state, dtype=np.int64)
     for k in range(1, stages + 1):
         upper = (words[stages - k, state, byte] >> shift) & 1
-        paths[k] = state = pred[upper, state]
+        paths[k] = state = (state >> 1) + upper * half
     return paths.T
 
 

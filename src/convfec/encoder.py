@@ -32,6 +32,8 @@ def encode_frames(payloads: np.ndarray, trellis: Trellis) -> np.ndarray:
     """Encode a ``(n, payload_length)`` array of payloads, one frame per row.
 
     Returns the coded frames as a ``(n, 2 * frame_stages)`` uint8 array.
+    Every stage's K-bit register is built at once from K shifted copies of
+    the inputs, and one ``symbol_table`` gather gives every branch symbol.
     """
     spec = trellis.spec
     raw = np.asarray(payloads)
@@ -41,27 +43,22 @@ def encode_frames(payloads: np.ndarray, trellis: Trellis) -> np.ndarray:
         )
     if np.any((raw != 0) & (raw != 1)):
         raise ValueError("payloads must contain only 0/1 bits")
-    arr = np.ascontiguousarray(raw, dtype=np.uint8)
-    n = arr.shape[0]
-    stages = spec.frame_stages
-    next_table = trellis.next_state_table
-    sym_table = trellis.symbol_table
-
-    state = np.zeros(n, dtype=np.int64)
-    syms = np.empty((n, stages), dtype=np.uint8)
-    for t in range(stages):
-        if t < spec.payload_length:
-            idx = 2 * state + arr[:, t]
-        else:
-            idx = 2 * state
-        syms[:, t] = sym_table[idx]
-        state = next_table[idx]
+    n, k, stages = raw.shape[0], spec.constraint_length, spec.frame_stages
+    dtype = np.min_scalar_type(2 * trellis.num_states - 1)  # uint8 while 2S <= 256
+    # inputs in time order after K-1 reset zeros, the zero tail included
+    inputs = np.zeros((n, k - 1 + stages), dtype=dtype)
+    inputs[:, k - 1 : k - 1 + spec.payload_length] = raw
+    reg = np.zeros((n, stages), dtype=dtype)  # reg[:, t] = 2 * state + input at stage t
+    for j in range(k):  # bit j of a register is the input j stages back
+        reg |= inputs[:, k - 1 - j : k - 1 - j + stages] << j
+    state = reg[:, -1] % trellis.num_states
     stuck = np.flatnonzero(state)
     if stuck.size:
         raise RuntimeError(
             f"zero tail left the encoder in state {int(state[stuck[0]])}, not 0"
         )
 
+    syms = trellis.symbol_table[reg]
     coded = np.empty((n, 2 * stages), dtype=np.uint8)
     coded[:, 0::2] = syms >> 1
     coded[:, 1::2] = syms & 1

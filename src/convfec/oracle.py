@@ -17,9 +17,9 @@ from .trellis import CodeSpec, build_trellis
 
 MAX_PAYLOAD_BITS = 24
 
-# full codebooks (up to 2^16 codewords) are cached, a few specs at a time
-_CACHE_PAYLOAD_BITS = 16
-_CACHED_CODEBOOKS = 4
+# codebooks are enumerated in blocks of up to 2^16 codewords, a few cached at a time
+_BLOCK_BITS = 16
+_CACHED_BLOCKS = 4
 
 
 @dataclass(frozen=True)
@@ -43,9 +43,11 @@ def _payload_matrix(spec: CodeSpec, start: int, count: int) -> np.ndarray:
     return ((indices[:, np.newaxis] >> shifts) & 1).astype(np.uint8)
 
 
-@functools.lru_cache(maxsize=_CACHED_CODEBOOKS)
-def _codebook(spec: CodeSpec) -> np.ndarray:
-    book = encode_frames(_payload_matrix(spec, 0, 1 << spec.payload_length), build_trellis(spec))
+@functools.lru_cache(maxsize=_CACHED_BLOCKS)
+def _codebook(spec: CodeSpec, start: int) -> np.ndarray:
+    """Codewords of the payloads ``start, start + 1, ...``, up to 2^16 of them."""
+    count = min(1 << _BLOCK_BITS, (1 << spec.payload_length) - start)
+    book = encode_frames(_payload_matrix(spec, start, count), build_trellis(spec))
     book.setflags(write=False)
     return book
 
@@ -72,25 +74,14 @@ def ml_decode(received: Sequence[int], spec: CodeSpec) -> MlResult:
         raise ValueError("received word must contain only 0/1 bits")
     arr = raw.astype(np.uint8, copy=False)
 
-    if p <= _CACHE_PAYLOAD_BITS:
-        distances = np.count_nonzero(_codebook(spec) != arr, axis=1)
-        best = int(distances.min())
-        best_index = int(distances.argmin())  # first minimum = lexicographic winner
-        count = int(np.count_nonzero(distances == best))
-    else:
-        trellis = build_trellis(spec)
-        chunk = 1 << _CACHE_PAYLOAD_BITS
-        best, best_index, count = 2 * spec.frame_stages + 1, -1, 0
-        for start in range(0, 1 << p, chunk):
-            block = encode_frames(_payload_matrix(spec, start, chunk), trellis)
-            distances = np.count_nonzero(block != arr, axis=1)
-            block_best = int(distances.min())
-            if block_best < best:
-                best = block_best
-                best_index = start + int(distances.argmin())
-                count = 0
-            if block_best == best:
-                count += int(np.count_nonzero(distances == best))
+    best, best_index, count = 2 * spec.frame_stages + 1, -1, 0
+    for start in range(0, 1 << p, 1 << _BLOCK_BITS):
+        distances = np.count_nonzero(_codebook(spec, start) != arr, axis=1)
+        block_best = int(distances.min())
+        if block_best < best:  # first minimum = lexicographic winner
+            best, best_index, count = block_best, start + int(distances.argmin()), 0
+        if block_best == best:
+            count += int(np.count_nonzero(distances == best))
 
     payload = tuple((best_index >> (p - 1 - j)) & 1 for j in range(p))
     return MlResult(payload, best, count == 1, count)

@@ -120,65 +120,31 @@ DEFAULT_SPEC = CodeSpec.from_octal("171,133", constraint_length=7, frame_stages=
 
 
 class Trellis:
-    """Precomputed transitions, branch symbols and butterfly predecessors.
+    """The trellis of ``spec`` as one table plus index arithmetic.
 
-    Instances are immutable after :func:`build_trellis` and safe to share
-    across threads.  The flat numpy tables are the vectorized form consumed
-    by the encoder and decoder hot paths:
-
-    * ``next_state_table[2*p + b]`` is the successor of state ``p`` on input
-      ``b`` (int64, length ``2 * num_states``).
-    * ``symbol_table[2*p + b]`` is the packed branch symbol (uint8).
-    * ``lower_pred[s]`` / ``upper_pred[s]`` index the two predecessors of
-      ``s``; ``lower_sym[s]`` / ``upper_sym[s]`` are the packed symbols on
-      those incoming branches.
+    ``symbol_table[r]`` is the packed branch symbol (uint8) for the K-bit
+    register value ``r = 2*p + b``: state ``p`` with input ``b``, so bit ``j``
+    of ``r`` is the input ``j`` steps ago.  Every other fact follows from the
+    conventions above: branch ``r`` enters state ``r mod S``, and state ``s``
+    is entered by branches ``s`` (from ``s >> 1``) and ``s + S`` (from
+    ``(s + S) >> 1``), so ``symbol_table[:S]`` and ``symbol_table[S:]`` are
+    the lower and upper incoming symbols.  Immutable and safe to share.
     """
 
-    __slots__ = (
-        "spec",
-        "num_states",
-        "next_state_table",
-        "symbol_table",
-        "lower_pred",
-        "upper_pred",
-        "lower_sym",
-        "upper_sym",
-    )
+    __slots__ = ("spec", "num_states", "symbol_table")
 
     def __init__(self, spec: CodeSpec):
         self.spec = spec
-        s = spec.num_states
-        self.num_states = s
-
-        next_table = np.empty(2 * s, dtype=np.int64)
-        sym_table = np.empty(2 * s, dtype=np.uint8)
-        for p in range(s):
-            for b in (0, 1):
-                next_table[2 * p + b] = (2 * p + b) % s
-                sym_table[2 * p + b] = _branch_bits(spec, p, b)
-
-        half = s // 2
-        succ = np.arange(s, dtype=np.int64)
-        lower = succ >> 1
-        upper = lower + half
-        self.next_state_table = next_table
-        self.symbol_table = sym_table
-        self.lower_pred = lower
-        self.upper_pred = upper
-        self.lower_sym = sym_table[2 * lower + (succ & 1)].astype(np.uint8)
-        self.upper_sym = sym_table[2 * upper + (succ & 1)].astype(np.uint8)
-        for arr in (
-            self.next_state_table,
-            self.symbol_table,
-            self.lower_pred,
-            self.upper_pred,
-            self.lower_sym,
-            self.upper_sym,
-        ):
-            arr.setflags(write=False)
+        self.num_states = spec.num_states
+        reg = np.arange(2 * spec.num_states)
+        table = np.zeros_like(reg)
+        for j, (tap1, tap2) in enumerate(zip(*spec.generators)):
+            table ^= ((reg >> j) & 1) * (tap1 << 1 | tap2)
+        self.symbol_table = table.astype(np.uint8)
+        self.symbol_table.setflags(write=False)
 
     def next_state(self, state: int, bit: int) -> int:
-        return int(self.next_state_table[2 * state + bit])
+        return (2 * state + bit) % self.num_states
 
     def branch_symbol(self, state: int, bit: int) -> tuple[int, int]:
         """Output symbol on the branch from ``state`` with input ``bit``."""
@@ -187,20 +153,7 @@ class Trellis:
 
     def predecessors(self, state: int) -> tuple[int, int]:
         """``(lower, upper)`` predecessor pair of ``state``."""
-        return (int(self.lower_pred[state]), int(self.upper_pred[state]))
-
-
-def _branch_bits(spec: CodeSpec, state: int, bit: int) -> int:
-    # Register contents newest-first: input bit, then the K-1 state bits.
-    full = (state << 1) | bit
-    packed = 0
-    for taps in spec.generators:
-        acc = 0
-        for j, tap in enumerate(taps):
-            if tap:
-                acc ^= (full >> j) & 1
-        packed = (packed << 1) | acc
-    return packed
+        return (state >> 1, (state + self.num_states) >> 1)
 
 
 def build_trellis(spec: CodeSpec) -> Trellis:
@@ -223,18 +176,13 @@ def free_distance(spec: CodeSpec, weight_cap: int) -> int | None:
     """
     if weight_cap < 1:
         raise ValueError(f"weight_cap must be >= 1, got {weight_cap}")
-    trellis = build_trellis(spec)
-    next_table = trellis.next_state_table
-    weights = [int(v).bit_count() for v in trellis.symbol_table]
+    s = spec.num_states
+    weights = [int(v).bit_count() for v in build_trellis(spec).symbol_table]
 
-    # Force the diverging branch (input 1 from state 0); expand until the
-    # first re-merge with state 0.  State 0 is terminal, never expanded.
-    start = int(next_table[1])
-    start_w = weights[1]
-    best: dict[int, int] = {start: start_w}
-    heap: list[tuple[int, int]] = []
-    if start_w <= weight_cap:
-        heap.append((start_w, start))
+    # Force the diverging branch (register 1: input 1 from state 0 into state
+    # 1); expand until the first re-merge with state 0, which is never expanded.
+    best: dict[int, int] = {1: weights[1]}
+    heap = [(weights[1], 1)] if weights[1] <= weight_cap else []
     while heap:
         w, state = heapq.heappop(heap)
         if state == 0:
@@ -246,7 +194,7 @@ def free_distance(spec: CodeSpec, weight_cap: int) -> int | None:
             nw = w + weights[idx]
             if nw > weight_cap:
                 continue
-            ns = int(next_table[idx])
+            ns = idx % s
             if nw < best.get(ns, weight_cap + 1):
                 best[ns] = nw
                 heapq.heappush(heap, (nw, ns))

@@ -268,6 +268,18 @@ def test_parse_ebno_rejects_non_finite(text):
         _parse_ebno(text)
 
 
+@pytest.mark.parametrize("command", [["encode", "-i", "{payloads}"],
+                                     ["power-compare", "--frames", "1"]])
+def test_missing_output_directory_is_one_line(tmp_path, payload_file, capsys, command):
+    payloads, _ = payload_file
+    target = tmp_path / "missing" / "out.txt"
+    argv = [part.format(payloads=payloads) for part in command] + ["-o", str(target)]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"convfec: error: cannot write {target}: No such file or directory\n"
+    assert not (tmp_path / "missing").exists()
+
+
 def test_power_compare_csv(tmp_path):
     out = tmp_path / "power.csv"
     assert run(["power-compare", "--frames", "2", "--ebno", "4", "--seed", "7",

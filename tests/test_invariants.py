@@ -35,14 +35,13 @@ def test_invariants_raise_under_optimize():
         except RuntimeError as exc:
             print("terminal:", exc)
         good = build_trellis(DEFAULT_SPEC)
-        # a trellis whose transitions never return to state 0
+        # a K=7 spec without a tail, so its last input cannot flush
+        untailed = types.SimpleNamespace(
+            constraint_length=7, num_states=64, payload_length=40, frame_stages=40)
         stuck = types.SimpleNamespace(
-            spec=DEFAULT_SPEC,
-            symbol_table=good.symbol_table,
-            next_state_table=np.ones_like(good.next_state_table),
-        )
+            spec=untailed, num_states=64, symbol_table=good.symbol_table)
         try:
-            encode_frame([0] * 34, stuck)
+            encode_frame([0] * 39 + [1], stuck)
         except RuntimeError as exc:
             print("tail:", exc)
         """

@@ -87,6 +87,29 @@ def test_distance_agrees_with_viterbi(k5_spec):
             assert tuple(decoded[: k5_spec.payload_length]) == result.best_payload
 
 
+def test_two_block_enumeration_agrees_with_viterbi():
+    # p = 17 payload bits: the codebook runs in two blocks of 2^16 codewords
+    spec = CodeSpec.from_octal("7,5", constraint_length=3, frame_stages=19)
+    assert spec.payload_length == 17
+    trellis = build_trellis(spec)
+    rng = np.random.default_rng(43)
+    payload = rng.integers(0, 2, size=17)
+    payload[0] = 1  # the transmitted codeword lies in the second block
+    clean = np.asarray(encode_frame(list(payload), trellis))
+    for flips in (0, 1, 3, 6):
+        received = clean.copy()
+        received[rng.choice(received.size, size=flips, replace=False)] ^= 1
+        result = ml_decode(list(received), spec)
+        decoded, metric, _ = decode_frame(list(received), trellis)
+        assert result.best_distance == metric <= flips
+        assert result.num_minimizers >= 1
+        if result.minimizer_unique:
+            assert tuple(decoded[:17]) == result.best_payload
+    exact = ml_decode(list(clean), spec)
+    assert exact.best_payload == tuple(payload.tolist())
+    assert exact.minimizer_unique
+
+
 def test_single_flip_moves_distance_by_at_most_one(k3_spec):
     rng = np.random.default_rng(41)
     for _ in range(40):

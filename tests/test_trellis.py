@@ -64,25 +64,38 @@ def test_k3_first_transition(k3_trellis):
     assert k3_trellis.branch_symbol(0, 1) == (1, 1)
 
 
-def test_newest_bit_lands_in_state_lsb(default_trellis):
-    for p in range(default_trellis.num_states):
-        for b in (0, 1):
-            assert default_trellis.next_state(p, b) & 1 == b
+# the one-table checks run on every (state, bit) of the K=3 7,5 fixture, the
+# default spec and a K=9 spec
+TRELLISES = [
+    build_trellis(CodeSpec.from_octal("7,5", constraint_length=3, frame_stages=5)),
+    build_trellis(DEFAULT_SPEC),
+    build_trellis(CodeSpec.from_octal("561,753", constraint_length=9, frame_stages=20)),
+]
 
 
-def test_butterfly_closure(default_trellis):
-    half = default_trellis.num_states // 2
-    for j in range(half):
-        succ_low = {default_trellis.next_state(j, b) for b in (0, 1)}
-        succ_high = {default_trellis.next_state(j + half, b) for b in (0, 1)}
-        assert succ_low == succ_high == {2 * j, 2 * j + 1}
+def test_newest_bit_lands_in_state_lsb():
+    for trellis in TRELLISES:
+        for p in range(trellis.num_states):
+            for b in (0, 1):
+                assert trellis.next_state(p, b) & 1 == b
 
 
-def test_predecessor_consistency(default_trellis):
-    for s in range(default_trellis.num_states):
-        lower, upper = default_trellis.predecessors(s)
-        assert default_trellis.next_state(lower, s % 2) == s
-        assert default_trellis.next_state(upper, s % 2) == s
+def test_butterfly_closure():
+    for trellis in TRELLISES:
+        half = trellis.num_states // 2
+        for j in range(half):
+            succ_low = {trellis.next_state(j, b) for b in (0, 1)}
+            succ_high = {trellis.next_state(j + half, b) for b in (0, 1)}
+            assert succ_low == succ_high == {2 * j, 2 * j + 1}
+
+
+def test_predecessor_consistency():
+    for trellis in TRELLISES:
+        for s in range(trellis.num_states):
+            lower, upper = trellis.predecessors(s)
+            assert lower < trellis.num_states // 2 <= upper < trellis.num_states
+            assert trellis.next_state(lower, s % 2) == s
+            assert trellis.next_state(upper, s % 2) == s
 
 
 def test_branch_antipodality_within_butterfly(default_trellis):
@@ -96,24 +109,34 @@ def test_branch_antipodality_within_butterfly(default_trellis):
             assert low == (1 - high[0], 1 - high[1])
 
 
-def test_next_state_covers_each_state_twice(default_trellis):
-    counts = [0] * default_trellis.num_states
-    for p in range(default_trellis.num_states):
-        for b in (0, 1):
-            counts[default_trellis.next_state(p, b)] += 1
-    assert counts == [2] * default_trellis.num_states
+def test_next_state_covers_each_state_twice():
+    for trellis in TRELLISES:
+        counts = [0] * trellis.num_states
+        for p in range(trellis.num_states):
+            for b in (0, 1):
+                counts[trellis.next_state(p, b)] += 1
+        assert counts == [2] * trellis.num_states
 
 
-def test_branch_symbol_is_tap_parity(default_trellis):
-    # spot-check the definition: parity of taps ANDed with the register
+def test_branch_symbol_is_tap_parity():
+    # the definition, on every branch: parity of taps ANDed with the register
     # contents (input bit newest, then the state bits)
-    spec = default_trellis.spec
-    for state, bit in [(0, 1), (17, 0), (63, 1), (32, 0), (5, 1)]:
-        register = [bit] + [(state >> i) & 1 for i in range(spec.constraint_length - 1)]
-        expected = tuple(
-            sum(t * r for t, r in zip(taps, register)) % 2 for taps in spec.generators
-        )
-        assert default_trellis.branch_symbol(state, bit) == expected
+    for trellis in TRELLISES:
+        spec = trellis.spec
+        for state in range(trellis.num_states):
+            for bit in (0, 1):
+                register = [bit] + [(state >> i) & 1 for i in range(spec.constraint_length - 1)]
+                expected = tuple(
+                    sum(t * r for t, r in zip(taps, register)) % 2 for taps in spec.generators
+                )
+                assert trellis.branch_symbol(state, bit) == expected
+
+
+def test_symbol_table_is_read_only():
+    for trellis in TRELLISES:
+        assert trellis.symbol_table.shape == (2 * trellis.num_states,)
+        with pytest.raises(ValueError):
+            trellis.symbol_table[0] ^= 1
 
 
 def test_free_distance_small_code(k3_spec):
