@@ -21,10 +21,7 @@ from .decoder import (
     TRACEBACK,
     ActivityReport,
     DecodeResult,
-    PathMetricBank,
     StreamedFrame,
-    acs_step,
-    branch_metric,
     decode_frame,
     decode_frame_register_exchange,
     decode_frames,
@@ -53,18 +50,15 @@ __all__ = [
     "MAX_PAYLOAD_BITS",
     "MlResult",
     "NoiseConfig",
-    "PathMetricBank",
     "PowerCompareResult",
     "REGISTER_EXCHANGE",
     "StreamedFrame",
     "SweepConfig",
     "TRACEBACK",
     "Trellis",
-    "acs_step",
     "add_awgn",
     "ber_sweep",
     "bpsk_modulate",
-    "branch_metric",
     "build_trellis",
     "decode_frame",
     "decode_frame_register_exchange",

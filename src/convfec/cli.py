@@ -30,7 +30,7 @@ from .harness import (
     format_power_csv,
     power_compare,
 )
-from .oracle import MAX_PAYLOAD_BITS, ml_decode
+from .oracle import MAX_PAYLOAD_BITS, ml_decode_frames
 from .trellis import CodeSpec, build_trellis
 
 _ACTIVITY_CSV_HEADER = "scheme,frames,survivor_bit_writes,metric_writes,traceback_reads"
@@ -147,7 +147,8 @@ def _read_frames(path: str, expected_len: int, what: str) -> np.ndarray:
     if path == "-":
         return _parse_lines(sys.stdin, expected_len, what)
     try:
-        with open(path, "r", encoding="ascii") as fp:
+        # as on stdin, a non-ASCII byte reaches the parser's line-numbered diagnostic
+        with open(path, "r", encoding="ascii", errors="surrogateescape") as fp:
             return _parse_lines(fp, expected_len, what)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc.strerror}") from exc
@@ -238,7 +239,7 @@ def _cmd_oracle_decode(args: argparse.Namespace, spec: CodeSpec) -> int:
             f"the guard is {MAX_PAYLOAD_BITS} payload bits (use 'decode')"
         )
     frames = _read_frames(args.input, 2 * spec.frame_stages, "coded")
-    payloads = [list(ml_decode(frame, spec).best_payload) for frame in frames]
+    payloads = [result.best_payload for result in ml_decode_frames(frames, spec)]
     _write_text(args.output, _format_frames(payloads))
     return 0
 

@@ -23,36 +23,8 @@ _SYMBOL_HAMMING = np.array(  # Hamming distance between packed 2-bit symbols
     [[bin(a ^ b).count("1") for b in range(4)] for a in range(4)], dtype=np.uint8)
 
 
-def _pack_symbol(symbol: Sequence[int]) -> int:
-    first, second = symbol
-    if first not in (0, 1) or second not in (0, 1):
-        raise ValueError(f"expected a 2-bit symbol of 0/1 values, got {tuple(symbol)!r}")
-    return (first << 1) | second
-
-
-def branch_metric(received: Sequence[int], expected: Sequence[int]) -> int:
-    """Hamming distance between two 2-bit symbols, in {0, 1, 2}."""
-    return int(_SYMBOL_HAMMING[_pack_symbol(received), _pack_symbol(expected)])
-
-
 def _sentinel(dtype: np.dtype) -> int:  # unreachable: half the range, so sums cannot wrap
     return int(np.iinfo(dtype).max) // 2
-
-
-@dataclass(frozen=True)
-class PathMetricBank:
-    """Per-state accumulated Hamming metrics; unreachable states hold the sentinel."""
-
-    metric: np.ndarray
-
-    @classmethod
-    def initial(cls, num_states: int) -> "PathMetricBank":
-        """Stage-0 bank: the encoder provably starts in state 0."""
-        return cls(np.where(np.arange(num_states) == 0, 0, _sentinel(np.int16)).astype(np.int16))
-
-    @property
-    def reachable(self) -> np.ndarray:
-        return self.metric < _sentinel(self.metric.dtype)
 
 
 @dataclass(frozen=True)
@@ -85,51 +57,37 @@ class DecodeResult(NamedTuple):
     activity: ActivityReport
 
 
-def _acs(metric: np.ndarray, bm: np.ndarray,
-         clamp: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """One ACS stage over ``(S, n)`` metrics and lower-then-upper branch rows ``bm``:
-    states ``j``, ``j + S/2`` feed ``2j``, ``2j + 1``.  A ``clamp`` row saturates sums
-    before the compare, so two unreachable predecessors tie.  Returns ``(metric, upper_wins)``."""
-    half, n = metric.shape[0] >> 1, metric.shape[1]
-    cand = metric.reshape(2, half, 1, n) + bm.reshape(2, half, 2, n)
-    if clamp is not None:
-        np.minimum(cand, clamp, out=cand)
-    upper_wins = cand[1] < cand[0]  # ties keep the lower predecessor
-    return np.minimum(cand[0], cand[1]).reshape(-1, n), upper_wins.reshape(-1, n)
-
-
-def acs_step(bank: PathMetricBank, received: Sequence[int],
-             trellis: Trellis) -> tuple[PathMetricBank, int]:
-    """Advance the bank by one received symbol; returns it and the stage word."""
-    bm = _SYMBOL_HAMMING[_pack_symbol(received), trellis.symbol_table]
-    clamp = np.full(1, _sentinel(bank.metric.dtype), dtype=bank.metric.dtype)
-    metric, wins = _acs(bank.metric[:, np.newaxis], bm[:, np.newaxis], clamp)
-    word = np.packbits(wins[:, 0], bitorder="little")
-    return PathMetricBank(metric[:, 0]), int.from_bytes(word.tobytes(), "little")
-
-
 def _acs_kernel(rsym: np.ndarray, trellis: Trellis) -> tuple[np.ndarray, np.ndarray]:
     """ACS from state 0 over ``(T, n)`` packed symbols.  Returns the final
     ``(S, n)`` metrics and ``(T, S, ceil(n / 8))`` stage words, frame ``i`` at
-    bit ``i % 8``."""
+    bit ``i % 8``.  States ``j``, ``j + S/2`` feed ``2j``, ``2j + 1`` (one
+    butterfly per stage); ties keep the lower predecessor."""
     stages, n = rsym.shape
+    states, half = trellis.num_states, trellis.num_states >> 1
     # int16 while every path metric (at most 2 per stage) fits under the sentinel
     dtype = np.int16 if 2 * stages < _sentinel(np.int16) else np.int32
     d = _SYMBOL_HAMMING.T.astype(dtype)[:, rsym]  # d[e, t, i]: distance to symbol e
-    metric = np.full((trellis.num_states, n), _sentinel(dtype), dtype=dtype)
+    metric = np.full((states, n), _sentinel(dtype), dtype=dtype)
     metric[0] = 0
     clamp = np.full(n, _sentinel(dtype), dtype=dtype)  # a row broadcasts faster than a scalar
-    words = np.empty((stages, trellis.num_states, -(-n // 8)), dtype=np.uint8)
-    warmup = trellis.spec.constraint_length - 1  # only these stages have unreachable states
+    words = np.empty((stages, states, -(-n // 8)), dtype=np.uint8)
+    # only these stages have unreachable states: saturating their sums makes two
+    # unreachable predecessors tie, so their survivor bits are defined
+    warmup = trellis.spec.constraint_length - 1
     for t in range(stages):
-        metric, wins = _acs(metric, d[trellis.symbol_table, t], clamp if t < warmup else None)
-        words[t] = np.packbits(wins, axis=1, bitorder="little")
+        # cand[u, j, b]: the path into state 2j + b from predecessor j + u * S/2
+        cand = metric.reshape(2, half, 1, n) + d[trellis.symbol_table, t].reshape(2, half, 2, n)
+        if t < warmup:
+            np.minimum(cand, clamp, out=cand)
+        words[t] = np.packbits((cand[1] < cand[0]).reshape(states, n), axis=1, bitorder="little")
+        metric = np.minimum(cand[0], cand[1]).reshape(states, n)
     return metric, words
 
 
-def traceback(words: np.ndarray, trellis: Trellis, frames: int, start_state: int = 0) -> np.ndarray:
-    """Trace-back survivor memory: each frame's state path, newest first.  Before
-    state ``s`` comes ``s >> 1``, plus ``S/2`` when its survivor bit is 1."""
+def traceback(words: np.ndarray, trellis: Trellis, frames: int) -> np.ndarray:
+    """Trace-back survivor memory: each frame's state path, newest first, from
+    state 0, where the zero tail ends every frame.  Before state ``s`` comes
+    ``s >> 1``, plus ``S/2`` when its survivor bit is 1."""
     stages = trellis.spec.frame_stages
     if words.shape[0] != stages:
         raise ValueError(f"traceback needs a complete frame: {words.shape[0]} of "
@@ -137,7 +95,7 @@ def traceback(words: np.ndarray, trellis: Trellis, frames: int, start_state: int
     half = trellis.num_states >> 1
     byte, shift = np.arange(frames) >> 3, np.arange(frames) & 7  # intp, so upper * half cannot wrap
     paths = np.empty((stages + 1, frames), dtype=np.int64)
-    paths[0] = state = np.full(frames, start_state, dtype=np.int64)
+    paths[0] = state = np.zeros(frames, dtype=np.int64)
     for k in range(1, stages + 1):
         upper = (words[stages - k, state, byte] >> shift) & 1
         paths[k] = state = (state >> 1) + upper * half

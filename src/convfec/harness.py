@@ -55,8 +55,7 @@ class SweepConfig:
 
     Each point accumulates at least ``min_info_bits`` information bits and
     stops at ``stop_at_errors`` bit errors or ``max_info_bits``, whichever
-    comes first.  ``noiseless`` skips the AWGN stage entirely (debug and
-    sanity runs).
+    comes first.
     """
 
     ebno_points: tuple[float, ...]
@@ -65,7 +64,6 @@ class SweepConfig:
     stop_at_errors: int
     seed: int
     spec: CodeSpec = DEFAULT_SPEC
-    noiseless: bool = False
 
     def __post_init__(self) -> None:
         if not self.ebno_points:
@@ -92,13 +90,9 @@ def _stop(cfg: SweepConfig, info_bits: int, bit_errors: int) -> bool:
     return bit_errors >= cfg.stop_at_errors or info_bits >= cfg.max_info_bits
 
 
-def _channel(sent: np.ndarray, noise: NoiseConfig, rng: np.random.Generator,
-             noiseless: bool) -> np.ndarray:
-    """BPSK, AWGN (skipped when ``noiseless``) and the hard slicer, shape kept."""
-    symbols = bpsk_modulate(sent.ravel())
-    if not noiseless:
-        symbols = add_awgn(symbols, noise, rng)
-    return hard_quantize(symbols).reshape(sent.shape)
+def _channel(sent: np.ndarray, noise: NoiseConfig, rng: np.random.Generator) -> np.ndarray:
+    """BPSK, AWGN and the hard slicer, shape kept."""
+    return hard_quantize(add_awgn(bpsk_modulate(sent.ravel()), noise, rng)).reshape(sent.shape)
 
 
 def _run_point(
@@ -115,7 +109,7 @@ def _run_point(
         remaining = -(-(cfg.max_info_bits - info_bits) // block)
         n = max(1, min(_BATCH_FRAMES, remaining))
         payloads = rng.integers(0, 2, size=(n, block), dtype=np.uint8)
-        received = _channel(transmit(payloads), noise, rng, cfg.noiseless)
+        received = _channel(transmit(payloads), noise, rng)
         wrong = receive(received) != payloads
         info_bits += n * block
         bit_errors += int(np.count_nonzero(wrong))
@@ -178,7 +172,7 @@ def power_compare(cfg: SweepConfig) -> PowerCompareResult:
     while done < frames:
         n = min(_BATCH_FRAMES, frames - done)
         payloads = rng.integers(0, 2, size=(n, payload_len), dtype=np.uint8)
-        received = _channel(encode_frames(payloads, trellis), noise, rng, cfg.noiseless)
+        received = _channel(encode_frames(payloads, trellis), noise, rng)
         tb_bits, tb_metrics = decode_frames(received, trellis, TRACEBACK)
         re_bits, re_metrics = decode_frames(received, trellis, REGISTER_EXCHANGE)
         differ = np.flatnonzero((tb_bits != re_bits).any(axis=1) | (tb_metrics != re_metrics))

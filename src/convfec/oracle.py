@@ -52,12 +52,12 @@ def _codebook(spec: CodeSpec, start: int) -> np.ndarray:
     return book
 
 
-def ml_decode(received: Sequence[int], spec: CodeSpec) -> MlResult:
-    """Decode by comparing the received word against every codeword.
+def ml_decode_frames(received: np.ndarray, spec: CodeSpec) -> list[MlResult]:
+    """Decode ``(n, 2 * L)`` received words by comparing each against every codeword.
 
-    Enumerates all ``2^payload_length`` payloads and returns the codeword at
-    minimum Hamming distance.  Refuses payloads beyond
-    :data:`MAX_PAYLOAD_BITS` since the enumeration doubles per bit.
+    Enumerates all ``2^payload_length`` payloads once for the whole batch and
+    returns, per word, the codeword at minimum Hamming distance.  Refuses
+    payloads beyond :data:`MAX_PAYLOAD_BITS` since the enumeration doubles per bit.
     """
     p = spec.payload_length
     if p > MAX_PAYLOAD_BITS:
@@ -66,22 +66,35 @@ def ml_decode(received: Sequence[int], spec: CodeSpec) -> MlResult:
             f"of {MAX_PAYLOAD_BITS} bits"
         )
     raw = np.asarray(received)
-    if raw.ndim != 1 or raw.size != 2 * spec.frame_stages:
+    if raw.ndim != 2 or raw.shape[1] != 2 * spec.frame_stages:
         raise ValueError(
-            f"received word must be {2 * spec.frame_stages} bits, got {raw.size}"
+            f"received words must have shape (n, {2 * spec.frame_stages}), got {raw.shape}"
         )
     if np.any((raw != 0) & (raw != 1)):
         raise ValueError("received word must contain only 0/1 bits")
-    arr = raw.astype(np.uint8, copy=False)
+    words = raw.astype(np.uint8, copy=False)
+    n = len(words)
+    best, best_index, count = [2 * spec.frame_stages + 1] * n, [-1] * n, [0] * n
+    for start in range(0, 1 << p if n else 0, 1 << _BLOCK_BITS):
+        book = _codebook(spec, start)
+        for i, word in enumerate(words):
+            distances = np.count_nonzero(book != word, axis=1)
+            block_best = int(distances.min())
+            if block_best < best[i]:  # first minimum = lexicographic winner
+                best[i], best_index[i], count[i] = block_best, start + int(distances.argmin()), 0
+            if block_best == best[i]:
+                count[i] += int(np.count_nonzero(distances == best[i]))
 
-    best, best_index, count = 2 * spec.frame_stages + 1, -1, 0
-    for start in range(0, 1 << p, 1 << _BLOCK_BITS):
-        distances = np.count_nonzero(_codebook(spec, start) != arr, axis=1)
-        block_best = int(distances.min())
-        if block_best < best:  # first minimum = lexicographic winner
-            best, best_index, count = block_best, start + int(distances.argmin()), 0
-        if block_best == best:
-            count += int(np.count_nonzero(distances == best))
+    return [
+        MlResult(tuple((index >> (p - 1 - j)) & 1 for j in range(p)), dist, c == 1, c)
+        for index, dist, c in zip(best_index, best, count)
+    ]
 
-    payload = tuple((best_index >> (p - 1 - j)) & 1 for j in range(p))
-    return MlResult(payload, best, count == 1, count)
+
+def ml_decode(received: Sequence[int], spec: CodeSpec) -> MlResult:
+    """Decode one word by comparing it against every codeword: the one-word
+    case of :func:`ml_decode_frames`."""
+    raw = np.asarray(received)
+    if raw.ndim != 1 or raw.size != 2 * spec.frame_stages:
+        raise ValueError(f"received word must be {2 * spec.frame_stages} bits, got {raw.size}")
+    return ml_decode_frames(raw[np.newaxis], spec)[0]

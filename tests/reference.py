@@ -30,6 +30,40 @@ def reference_encode(payload, spec: CodeSpec) -> list[int]:
     return out
 
 
+def reference_acs(received, spec: CodeSpec) -> tuple[list[int], list[float]]:
+    """Textbook Viterbi recursion from state 0, one state at a time.
+
+    State bit j holds the input j + 1 steps ago, so state s is entered from
+    s >> 1 (the lower predecessor) or s >> 1 plus 2^(K-2) (the upper one);
+    each branch symbol is the tap parity of the input and that state.
+    Unreachable states hold infinity.  On equal sums, including two
+    unreachable predecessors, the survivor is the lower predecessor.
+
+    Returns the survivor word of every stage (bit s is 1 when state s's
+    survivor came from its upper predecessor) and the final metric of every
+    state.
+    """
+    states = 1 << (spec.constraint_length - 1)
+    metric = [0.0] + [math.inf] * (states - 1)
+    words = []
+    for t in range(spec.frame_stages):
+        symbol = (received[2 * t], received[2 * t + 1])
+        new_metric, word = [], 0
+        for s in range(states):
+            bit = s & 1
+            sums = []
+            for pred in (s >> 1, (s >> 1) + states // 2):
+                inputs = [bit] + [(pred >> j) & 1 for j in range(spec.constraint_length - 1)]
+                out = [sum(tap & x for tap, x in zip(taps, inputs)) % 2 for taps in spec.generators]
+                sums.append(metric[pred] + sum(o != r for o, r in zip(out, symbol)))
+            if sums[1] < sums[0]:
+                word |= 1 << s
+            new_metric.append(min(sums))
+        metric = new_metric
+        words.append(word)
+    return words, metric
+
+
 def ml_enumerate(received, spec: CodeSpec) -> tuple[tuple[int, ...], int, int]:
     """Literal minimum-distance search over every payload.
 

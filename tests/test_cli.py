@@ -3,9 +3,12 @@ from __future__ import annotations
 import io
 import random
 
+import numpy as np
 import pytest
 
 from convfec.cli import CliError, _parse_ebno, run
+from convfec.oracle import _codebook, ml_decode
+from convfec.trellis import CodeSpec
 
 
 def _bits(line: str) -> list[int]:
@@ -83,6 +86,17 @@ def test_short_line_with_bad_character_reports_the_character(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "line 3: invalid character ' '" in err
     assert "34 bits" not in err
+
+
+def test_non_ascii_file_is_a_line_numbered_diagnostic(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"0000\xc3\xa9" + b"0" * 28 + b"\n")
+    out = tmp_path / "out.txt"
+    assert run(["encode", "-i", str(bad), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "line 1: invalid character" in err
+    assert not out.exists()
 
 
 def test_crlf_input_decodes_byte_identically(tmp_path, payload_file):
@@ -163,6 +177,19 @@ def test_oracle_decode_small_code(tmp_path):
     assert run(["-K", "3", "--generators", "7,5", "-L", "5",
                 "oracle-decode", "-i", str(coded), "-o", str(out)]) == 0
     assert out.read_text() == "101\n"
+
+
+def test_oracle_decode_enumerates_each_block_once(tmp_path):
+    # p = 19 payload bits: 8 blocks of 2^16 codewords, more than the cache holds
+    spec = CodeSpec.from_octal("7,5", constraint_length=3, frame_stages=21)
+    words = np.random.default_rng(44).integers(0, 2, size=(3, 42), dtype=np.uint8)
+    coded, out = tmp_path / "c.txt", tmp_path / "o.txt"
+    _write(coded, words.tolist())
+    _codebook.cache_clear()
+    assert run(["-K", "3", "--generators", "7,5", "-L", "21",
+                "oracle-decode", "-i", str(coded), "-o", str(out)]) == 0
+    assert _codebook.cache_info().misses == 8
+    assert _read(out) == [list(ml_decode(word, spec).best_payload) for word in words]
 
 
 def test_oracle_decode_refuses_large_space(tmp_path, capsys):

@@ -10,10 +10,8 @@ from convfec.decoder import (
     REGISTER_EXCHANGE,
     TRACEBACK,
     ActivityReport,
-    PathMetricBank,
     _acs_kernel,
-    acs_step,
-    branch_metric,
+    _sentinel,
     decode_frame,
     decode_frame_register_exchange,
     decode_frames,
@@ -35,49 +33,13 @@ def _noisy_frames(trellis, n, ebno_db, seed):
     return payloads, hard_quantize(symbols).reshape(coded.shape)
 
 
-def test_branch_metric_values():
-    assert branch_metric((0, 0), (0, 0)) == 0
-    assert branch_metric((0, 1), (1, 0)) == 2
-    assert branch_metric((1, 1), (1, 0)) == 1
-
-
-def test_branch_metric_rejects_non_bits():
-    with pytest.raises(ValueError):
-        branch_metric((0, 2), (0, 0))
-
-
-def test_initial_bank_only_state_zero():
-    bank = PathMetricBank.initial(64)
-    assert bank.reachable[0]
-    assert bank.metric[0] == 0
-    assert not bank.reachable[1:].any()
-
-
 def test_acs_first_stage_from_reset(default_trellis):
-    bank = PathMetricBank.initial(64)
-    new, word = acs_step(bank, (0, 0), default_trellis)
-    assert list(np.flatnonzero(new.reachable)) == [0, 1]
-    assert new.metric[0] == 0
-    assert new.metric[1] == 2
-    assert word == 0  # both survivors arrived via the lower branch
-
-
-def test_acs_equal_bases_adds_min_branch_metric(default_trellis):
-    base = 5
-    bank = PathMetricBank(np.full(64, base, dtype=np.int64))
-    received = (1, 0)
-    new, word = acs_step(bank, received, default_trellis)
-    for s in range(64):
-        lower, upper = default_trellis.predecessors(s)
-        bm_lo = branch_metric(received, default_trellis.branch_symbol(lower, s % 2))
-        bm_hi = branch_metric(received, default_trellis.branch_symbol(upper, s % 2))
-        assert new.metric[s] == base + min(bm_lo, bm_hi)
-        # tie rule: equal candidates keep the lower predecessor
-        if bm_lo == bm_hi:
-            assert (word >> s) & 1 == 0
-        else:
-            assert (word >> s) & 1 == (bm_hi < bm_lo)
-    assert new.reachable.all()
+    metric, words = _acs_kernel(np.zeros((1, 1), dtype=np.uint8), default_trellis)
+    reachable = metric[:, 0] < _sentinel(np.int16)
+    assert list(np.flatnonzero(reachable)) == [0, 1]
+    assert metric[0, 0] == 0
+    assert metric[1, 0] == 2
+    assert not words.any()  # both survivors arrived via the lower branch
 
 
 def test_survivor_memory_write_contract(default_trellis):
@@ -102,15 +64,18 @@ def test_traceback_requires_complete_frame(default_trellis):
 
 
 def test_traceback_upper_branch_rule(default_trellis):
-    # survivor bit set for state 4: previous state is 4>>1 + 32 = 34
+    # from state 0: bit set at 0 leads to 0>>1 + 32 = 32, then lower to 16,
+    # then bit set at 16 leads to 16>>1 + 32 = 40
     words = np.zeros((40, 64, 1), dtype=np.uint8)
-    words[39, 4, 0] = 1
-    assert traceback(words, default_trellis, 1, start_state=4)[0, :2].tolist() == [4, 34]
+    words[39, 0, 0] = words[37, 16, 0] = 1
+    assert traceback(words, default_trellis, 1)[0, :4].tolist() == [0, 32, 16, 40]
 
 
 def test_traceback_lower_branch_rule(default_trellis):
+    # a clear bit at state 32 leads to 32>>1 = 16
     words = np.zeros((40, 64, 1), dtype=np.uint8)
-    assert traceback(words, default_trellis, 1, start_state=5)[0, :2].tolist() == [5, 2]
+    words[39, 0, 0] = 1
+    assert traceback(words, default_trellis, 1)[0, :3].tolist() == [0, 32, 16]
 
 
 def test_traceback_all_zero_memory(default_trellis):
@@ -121,10 +86,12 @@ def test_traceback_all_zero_memory(default_trellis):
 def test_traceback_reads_each_frames_own_bit(default_trellis):
     # frames share stage-word bytes, 8 to a byte: frame 9 is bit 1 of byte 1
     words = np.zeros((40, 64, 2), dtype=np.uint8)
-    words[39, 4, 1] = 1 << 1
-    paths = traceback(words, default_trellis, 10, start_state=4)
-    assert paths[9, :2].tolist() == [4, 34]
-    assert paths[8, :2].tolist() == [4, 2]
+    words[39, 0, 1] = 0b11  # frames 8 and 9
+    words[37, 16, 1] = 1 << 1  # frame 9 only
+    paths = traceback(words, default_trellis, 10)
+    assert paths[9, :4].tolist() == [0, 32, 16, 40]
+    assert paths[8, :4].tolist() == [0, 32, 16, 8]
+    assert paths[7, :4].tolist() == [0, 0, 0, 0]
 
 
 def test_output_map_state_parity():
@@ -178,10 +145,12 @@ def test_final_metric_is_distance_to_reencoded_decision(default_trellis):
 
 def test_metric_bound_holds_stage_by_stage(default_trellis):
     rng = random.Random(3)
-    bank = PathMetricBank.initial(64)
+    rsym = np.array([[rng.randrange(2) << 1 | rng.randrange(2)] for _ in range(40)],
+                    dtype=np.uint8)
     for t in range(40):
-        bank, _ = acs_step(bank, (rng.randrange(2), rng.randrange(2)), default_trellis)
-        assert int(bank.metric[bank.reachable].max()) <= 2 * (t + 1)
+        metric, _ = _acs_kernel(rsym[: t + 1], default_trellis)
+        reachable = metric[:, 0] < _sentinel(metric.dtype)
+        assert int(metric[reachable, 0].max()) <= 2 * (t + 1)
 
 
 def test_register_exchange_matches_traceback(default_trellis):

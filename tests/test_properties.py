@@ -14,9 +14,7 @@ from hypothesis import strategies as st
 
 from convfec.decoder import (
     REGISTER_EXCHANGE,
-    PathMetricBank,
     _acs_kernel,
-    acs_step,
     decode_frame,
     decode_frame_register_exchange,
     decode_frames,
@@ -25,7 +23,7 @@ from convfec.encoder import encode_frames
 from convfec.oracle import ml_decode
 from convfec.trellis import DEFAULT_SPEC, CodeSpec, build_trellis
 
-from reference import reference_encode
+from reference import ml_enumerate, reference_acs, reference_encode
 
 PROPERTY_SETTINGS = settings(
     derandomize=True,
@@ -97,15 +95,17 @@ def _check_agreement(spec: CodeSpec, words: np.ndarray, oracle: bool = True) -> 
 
 
 def _check_stage_words(spec: CodeSpec, words: np.ndarray) -> None:
+    """Kernel stage words on every state and stage, unreachable states included,
+    and every final metric equal :func:`reference_acs`."""
     trellis = build_trellis(spec)
     rsym = (words[:, 0::2] << 1 | words[:, 1::2]).T
-    _, stage_words = _acs_kernel(rsym, trellis)
+    metric, stage_words = _acs_kernel(rsym, trellis)
     for i, row in enumerate(words.tolist()):
-        bank = PathMetricBank.initial(spec.num_states)
-        for t in range(spec.frame_stages):
-            bank, word = acs_step(bank, row[2 * t: 2 * t + 2], trellis)
+        ref_words, ref_metric = reference_acs(row, spec)
+        for t, word in enumerate(ref_words):
             bits = (stage_words[t, :, i >> 3] >> (i & 7)) & 1
             assert bits.tolist() == [(word >> s) & 1 for s in range(spec.num_states)]
+        assert metric[:, i].tolist() == ref_metric
 
 
 @PROPERTY_SETTINGS
@@ -117,7 +117,7 @@ def test_decoders_agree_with_each_other_and_the_references(data):
 
 @PROPERTY_SETTINGS
 @given(st.data())
-def test_kernel_stage_words_equal_acs_step_on_every_state(data):
+def test_kernel_stage_words_equal_reference_acs_on_every_state(data):
     spec = data.draw(code_specs())
     _check_stage_words(spec, data.draw(received_words(spec)))
 
@@ -135,7 +135,7 @@ def test_k9_decoders_agree():
     _check_agreement(*_k9_words(11, seed=90))
 
 
-def test_k9_stage_words_equal_acs_step():
+def test_k9_stage_words_equal_reference_acs():
     _check_stage_words(*_k9_words(3, seed=91))
 
 
@@ -148,6 +148,16 @@ def test_default_spec_agrees_at_high_noise():
     noisy = coded ^ (rng.random(coded.shape) < 0.12).astype(np.uint8)
     _check_agreement(DEFAULT_SPEC, noisy, oracle=False)
     _check_stage_words(DEFAULT_SPEC, noisy[:9])
+
+
+@pytest.mark.parametrize("octal, k, stages", [("7,5", 3, 11), ("23,35", 5, 13)])
+def test_reference_acs_state_zero_metric_is_the_ml_distance(octal, k, stages):
+    # the two independent references agree: the zero tail makes the final
+    # state-0 metric the distance to the nearest codeword
+    spec = CodeSpec.from_octal(octal, constraint_length=k, frame_stages=stages)
+    rng = np.random.default_rng(93)
+    for row in rng.integers(0, 2, size=(12, 2 * stages)).tolist():
+        assert reference_acs(row, spec)[1][0] == ml_enumerate(row, spec)[1]
 
 
 def test_catastrophic_filter():
