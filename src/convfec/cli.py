@@ -34,6 +34,7 @@ from .oracle import MAX_PAYLOAD_BITS, ml_decode_frames
 from .trellis import CodeSpec, build_trellis
 
 _ACTIVITY_CSV_HEADER = "scheme,frames,survivor_bit_writes,metric_writes,traceback_reads"
+_MAX_EBNO_POINTS = 1000  # a longer --ebno range is a typo, not a sweep anyone can wait for
 
 
 class CliError(Exception):
@@ -273,7 +274,11 @@ def _parse_ebno(text: str) -> tuple[float, ...]:
     points = []
     value = start
     while value <= stop + 1e-9:
+        if len(points) == _MAX_EBNO_POINTS:
+            raise CliError(f"--ebno range names more than {_MAX_EBNO_POINTS} points, got {text!r}")
         points.append(round(value, 9))
+        if value + step == value:
+            raise CliError(f"--ebno range step {step!r} does not advance from {value!r}")
         value += step
     return tuple(points)
 

@@ -11,7 +11,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .trellis import CodeSpec, Trellis
+from .trellis import CodeSpec, Trellis, bit_rows
 
 TRACEBACK = "trace-back"
 REGISTER_EXCHANGE = "register-exchange"
@@ -109,17 +109,19 @@ def output_map(state_paths: np.ndarray) -> np.ndarray:
 
 
 def _register_exchange(words: np.ndarray, trellis: Trellis, frames: int) -> np.ndarray:
-    """Register-exchange survivor memory: at stage ``t`` every state copies its
-    winner's ``ceil(L / 64)``-word uint64 register and sets bit ``t`` to its LSB."""
+    """Register-exchange survivor memory in the stage words' own layout: state
+    ``s``'s register is ``L`` rows of frame-packed bytes.  At stage ``t`` every
+    state copies its winner's ``t`` rows written so far, the stage word's bits
+    selecting frame by frame, and sets row ``t`` to its LSB.  One unpack of
+    state 0's register after the last stage gives the decoded bits."""
     stages, half = words.shape[0], trellis.num_states >> 1
-    regs = np.zeros((2 * half, -(-stages // 64), frames), dtype=np.uint64)
+    regs = np.zeros((2 * half, stages, words.shape[2]), dtype=np.uint8)
     for t in range(stages):
-        upper = np.unpackbits(words[t], axis=1, count=frames, bitorder="little")[:, np.newaxis]
-        lower = np.repeat(regs[:half], 2, axis=0)  # states 2j, 2j+1 both follow j or j+S/2
-        regs = lower ^ ((lower ^ np.repeat(regs[half:], 2, axis=0)) * upper)
-        regs[1::2, t >> 6] |= np.uint64(1 << (t & 63))
-    bit = np.arange(stages)
-    return ((regs[0, bit >> 6].T >> (bit & 63).astype(np.uint64)) & 1).astype(np.uint8)
+        lower = np.repeat(regs[:half, :t], 2, axis=0)  # states 2j, 2j+1 both follow j or j+S/2
+        upper = np.repeat(regs[half:, :t], 2, axis=0)
+        regs[:, :t] = lower ^ ((lower ^ upper) & words[t][:, np.newaxis])
+        regs[1::2, t] = 0xFF
+    return np.unpackbits(regs[0], axis=1, count=frames, bitorder="little").T
 
 
 def _check_terminal(final: np.ndarray, stages: int) -> None:
@@ -136,15 +138,9 @@ def decode_frames(coded: np.ndarray, trellis: Trellis,
     tail; its metric is the Hamming distance from the input to its re-encoding.
     """
     spec = trellis.spec
-    raw = np.asarray(coded)
-    if raw.ndim != 2 or raw.shape[1] != 2 * spec.frame_stages:
-        raise ValueError(f"coded frames must have shape (n, {2 * spec.frame_stages}), "
-                         f"got {raw.shape}")
-    if np.any((raw != 0) & (raw != 1)):
-        raise ValueError("coded frames must contain only 0/1 bits")
+    arr = bit_rows(coded, 2 * spec.frame_stages, "coded frames")
     if scheme not in (TRACEBACK, REGISTER_EXCHANGE):
         raise ValueError(f"unknown survivor scheme {scheme!r}")
-    arr = raw.astype(np.uint8, copy=False)
     rsym = ((arr[:, 0::2] << 1) | arr[:, 1::2]).T
     decoded = np.empty((len(arr), spec.frame_stages), dtype=np.uint8)
     final_metrics = np.empty(len(arr), dtype=np.int64)

@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .trellis import Trellis
+from .trellis import Trellis, bit_rows
 
 
 def encode_frame(payload: Sequence[int], trellis: Trellis) -> list[int]:
@@ -36,18 +36,12 @@ def encode_frames(payloads: np.ndarray, trellis: Trellis) -> np.ndarray:
     the inputs, and one ``symbol_table`` gather gives every branch symbol.
     """
     spec = trellis.spec
-    raw = np.asarray(payloads)
-    if raw.ndim != 2 or raw.shape[1] != spec.payload_length:
-        raise ValueError(
-            f"payloads must have shape (n, {spec.payload_length}), got {raw.shape}"
-        )
-    if np.any((raw != 0) & (raw != 1)):
-        raise ValueError("payloads must contain only 0/1 bits")
-    n, k, stages = raw.shape[0], spec.constraint_length, spec.frame_stages
+    bits = bit_rows(payloads, spec.payload_length, "payloads")
+    n, k, stages = bits.shape[0], spec.constraint_length, spec.frame_stages
     dtype = np.min_scalar_type(2 * trellis.num_states - 1)  # uint8 while 2S <= 256
     # inputs in time order after K-1 reset zeros, the zero tail included
     inputs = np.zeros((n, k - 1 + stages), dtype=dtype)
-    inputs[:, k - 1 : k - 1 + spec.payload_length] = raw
+    inputs[:, k - 1 : k - 1 + spec.payload_length] = bits
     reg = np.zeros((n, stages), dtype=dtype)  # reg[:, t] = 2 * state + input at stage t
     for j in range(k):  # bit j of a register is the input j stages back
         reg |= inputs[:, k - 1 - j : k - 1 - j + stages] << j

@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .encoder import encode_frames
-from .trellis import CodeSpec, build_trellis
+from .trellis import CodeSpec, bit_rows, build_trellis
 
 MAX_PAYLOAD_BITS = 24
 
@@ -65,14 +65,7 @@ def ml_decode_frames(received: np.ndarray, spec: CodeSpec) -> list[MlResult]:
             f"payload space 2^{p} exceeds the exhaustive-search guard "
             f"of {MAX_PAYLOAD_BITS} bits"
         )
-    raw = np.asarray(received)
-    if raw.ndim != 2 or raw.shape[1] != 2 * spec.frame_stages:
-        raise ValueError(
-            f"received words must have shape (n, {2 * spec.frame_stages}), got {raw.shape}"
-        )
-    if np.any((raw != 0) & (raw != 1)):
-        raise ValueError("received word must contain only 0/1 bits")
-    words = raw.astype(np.uint8, copy=False)
+    words = bit_rows(received, 2 * spec.frame_stages, "received words")
     n = len(words)
     best, best_index, count = [2 * spec.frame_stages + 1] * n, [-1] * n, [0] * n
     for start in range(0, 1 << p if n else 0, 1 << _BLOCK_BITS):

@@ -13,6 +13,8 @@ Conventions shared by every module in this package:
   bit)``, packed internally as ``first << 1 | second``.
 * Each state ``s`` has exactly two predecessors: ``s >> 1`` (lower branch)
   and ``(s >> 1) + 2^(K-2)`` (upper branch).
+* Frames travel as rows of 0/1 bits, one frame per row; :func:`bit_rows`
+  checks the frame arrays that the encoder, decoder and oracle take.
 """
 
 from __future__ import annotations
@@ -40,6 +42,8 @@ class CodeSpec:
         k = self.constraint_length
         if not isinstance(k, int) or k < 2:
             raise ValueError(f"constraint length must be an integer >= 2, got {k!r}")
+        if k > 16:  # the trellis tables hold 2^K entries; the encoder's registers fit uint16
+            raise ValueError(f"constraint length must be at most 16, got {k}")
         if len(self.generators) != 2:
             raise ValueError("rate-1/2 code needs exactly two generators")
         for i, taps in enumerate(self.generators):
@@ -143,17 +147,16 @@ class Trellis:
         self.symbol_table = table.astype(np.uint8)
         self.symbol_table.setflags(write=False)
 
-    def next_state(self, state: int, bit: int) -> int:
-        return (2 * state + bit) % self.num_states
 
-    def branch_symbol(self, state: int, bit: int) -> tuple[int, int]:
-        """Output symbol on the branch from ``state`` with input ``bit``."""
-        packed = int(self.symbol_table[2 * state + bit])
-        return (packed >> 1, packed & 1)
-
-    def predecessors(self, state: int) -> tuple[int, int]:
-        """``(lower, upper)`` predecessor pair of ``state``."""
-        return (state >> 1, (state + self.num_states) >> 1)
+def bit_rows(rows, width: int, noun: str) -> np.ndarray:
+    """``rows`` as an ``(n, width)`` uint8 array of 0/1 bits, one frame per row;
+    a ``ValueError`` names ``noun`` when the shape or a bit is wrong."""
+    raw = np.asarray(rows)
+    if raw.ndim != 2 or raw.shape[1] != width:
+        raise ValueError(f"{noun} must have shape (n, {width}), got {raw.shape}")
+    if np.any((raw != 0) & (raw != 1)):
+        raise ValueError(f"{noun} must contain only 0/1 bits")
+    return raw.astype(np.uint8, copy=False)
 
 
 def build_trellis(spec: CodeSpec) -> Trellis:

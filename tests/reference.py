@@ -30,6 +30,26 @@ def reference_encode(payload, spec: CodeSpec) -> list[int]:
     return out
 
 
+# Trellis accessors for the one-table tests in test_trellis.py, which check
+# them against the conventions and against tap parity.
+
+def next_state(trellis, state: int, bit: int) -> int:
+    """The state after ``state`` on input ``bit``."""
+    return (2 * state + bit) % trellis.num_states
+
+
+def branch_symbol(trellis, state: int, bit: int) -> tuple[int, int]:
+    """Output symbol on the branch from ``state`` with input ``bit``, read
+    from ``trellis.symbol_table``."""
+    packed = int(trellis.symbol_table[2 * state + bit])
+    return (packed >> 1, packed & 1)
+
+
+def predecessors(trellis, state: int) -> tuple[int, int]:
+    """``(lower, upper)`` predecessor pair of ``state``."""
+    return (state >> 1, (state + trellis.num_states) >> 1)
+
+
 def reference_acs(received, spec: CodeSpec) -> tuple[list[int], list[float]]:
     """Textbook Viterbi recursion from state 0, one state at a time.
 

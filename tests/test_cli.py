@@ -1,7 +1,12 @@
 from __future__ import annotations
 
 import io
+import os
 import random
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +14,8 @@ import pytest
 from convfec.cli import CliError, _parse_ebno, run
 from convfec.oracle import _codebook, ml_decode
 from convfec.trellis import CodeSpec
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _bits(line: str) -> list[int]:
@@ -220,6 +227,15 @@ def test_bad_spec_flags_diagnostic(capsys):
     assert "--generators" in capsys.readouterr().err
 
 
+def test_constraint_length_cap_diagnostic(capsys):
+    # K = 40 would need 2^40-entry tables: the spec is refused before any is built
+    assert run(["-K", "40", "--generators", "1,3", "-L", "40", "encode", "-i", os.devnull]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "at most 16" in captured.err
+
+
 def test_catastrophic_generators_diagnostic(capsys):
     assert run(["-K", "3", "--generators", "6,5", "-L", "5", "--spec-dump"]) == 1
     captured = capsys.readouterr()
@@ -275,6 +291,26 @@ def test_ber_sweep_ebno_list(tmp_path):
 def test_ber_sweep_bad_ebno(capsys):
     assert run(["ber-sweep", "--ebno", "4:0:8"]) == 1
     assert "step" in capsys.readouterr().err
+
+
+def _limit_address_space() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("ebno", ["1:1e-17:2", "0:1e-300:1"])
+def test_ber_sweep_endless_ebno_range(ebno):
+    # 1 + 1e-17 == 1, and 0:1e-300:1 names 1e300 points; both must fail at
+    # once.  The subprocess's timeout and 1 GiB memory cap bound what an
+    # endless range loop could cost the suite.
+    result = subprocess.run(
+        [sys.executable, "-m", "convfec", "ber-sweep", "--ebno", ebno],
+        capture_output=True, text=True, timeout=30, preexec_fn=_limit_address_space,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.count("\n") == 1
+    assert "--ebno range" in result.stderr
 
 
 @pytest.mark.parametrize("flag,value", [("--max-bits", "inf"), ("--min-bits", "1e400"),

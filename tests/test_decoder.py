@@ -300,7 +300,8 @@ def test_batch_decode_is_independent_of_batch_size(k3_trellis):
 
 
 def test_register_exchange_spans_several_words():
-    # 150 stages: each prefix register holds three 64-bit words per frame
+    # 150 stages: each register is 150 rows of frame-packed bytes, longer
+    # than any machine word
     spec = CodeSpec.from_octal("7,5", constraint_length=3, frame_stages=150)
     trellis = build_trellis(spec)
     rng = np.random.default_rng(41)

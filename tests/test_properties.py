@@ -122,9 +122,9 @@ def test_kernel_stage_words_equal_reference_acs_on_every_state(data):
     _check_stage_words(spec, data.draw(received_words(spec)))
 
 
-def _k9_words(n: int, seed: int) -> tuple[CodeSpec, np.ndarray]:
+def _k9_words(n: int, seed: int, stages: int = 20) -> tuple[CodeSpec, np.ndarray]:
     # S = 256: a stage word is longer than any machine word
-    spec = CodeSpec.from_octal("561,753", constraint_length=9, frame_stages=20)
+    spec = CodeSpec.from_octal("561,753", constraint_length=9, frame_stages=stages)
     rng = np.random.default_rng(seed)
     payloads = rng.integers(0, 2, size=(n, spec.payload_length), dtype=np.uint8)
     coded = encode_frames(payloads, build_trellis(spec))
@@ -137,6 +137,21 @@ def test_k9_decoders_agree():
 
 def test_k9_stage_words_equal_reference_acs():
     _check_stage_words(*_k9_words(3, seed=91))
+
+
+@pytest.mark.parametrize("n", [1, 8, 9, 300])
+def test_k9_register_exchange_equals_traceback(n):
+    # register exchange on 256 states, with frame counts on both sides of a
+    # packed byte; the single-frame decoders are left to test_k9_decoders_agree
+    spec, words = _k9_words(n, seed=94 + n, stages=40)
+    trellis = build_trellis(spec)
+    tb_bits, tb_metrics = decode_frames(words, trellis)
+    re_bits, re_metrics = decode_frames(words, trellis, REGISTER_EXCHANGE)
+    assert np.array_equal(re_bits, tb_bits)
+    assert np.array_equal(re_metrics, tb_metrics)
+    for row, bits, metric in zip(words.tolist(), re_bits.tolist(), re_metrics.tolist()):
+        recoded = reference_encode(bits[: spec.payload_length], spec)
+        assert sum(a != b for a, b in zip(recoded, row)) == metric
 
 
 def test_default_spec_agrees_at_high_noise():

@@ -4,7 +4,7 @@ import pytest
 
 from convfec.trellis import DEFAULT_SPEC, CodeSpec, build_trellis, free_distance
 
-from reference import min_codeword_weight_upto
+from reference import branch_symbol, min_codeword_weight_upto, next_state, predecessors
 
 
 def test_default_spec_geometry():
@@ -33,6 +33,9 @@ def test_default_taps_span_full_register():
         dict(constraint_length=3, generators=((1, 1, 1),), frame_stages=5),
         dict(constraint_length=3, generators=((1, 1, 1), (1, 0, 2)), frame_stages=5),
         dict(constraint_length=3, generators=((1, 1, 1), (1, 0, 1)), frame_stages=2),
+        # a non-catastrophic K=17 pair: 2^17-entry tables are refused unbuilt
+        dict(constraint_length=17, generators=((1,) * 17, (1,) + (0,) * 15 + (1,)),
+             frame_stages=40),
     ],
 )
 def test_spec_rejects_bad_parameters(kwargs):
@@ -51,17 +54,17 @@ def test_from_octal_rejects_garbage():
 
 
 def test_zero_state_zero_input_emits_zeros(default_trellis):
-    assert default_trellis.branch_symbol(0, 0) == (0, 0)
+    assert branch_symbol(default_trellis, 0, 0) == (0, 0)
 
 
 def test_upper_predecessor_offset(default_trellis):
     # state 4 = 2j with j = 2: predecessors are j and j + 32
-    assert default_trellis.predecessors(4) == (2, 34)
+    assert predecessors(default_trellis, 4) == (2, 34)
 
 
 def test_k3_first_transition(k3_trellis):
-    assert k3_trellis.next_state(0, 1) == 1
-    assert k3_trellis.branch_symbol(0, 1) == (1, 1)
+    assert next_state(k3_trellis, 0, 1) == 1
+    assert branch_symbol(k3_trellis, 0, 1) == (1, 1)
 
 
 # the one-table checks run on every (state, bit) of the K=3 7,5 fixture, the
@@ -77,25 +80,25 @@ def test_newest_bit_lands_in_state_lsb():
     for trellis in TRELLISES:
         for p in range(trellis.num_states):
             for b in (0, 1):
-                assert trellis.next_state(p, b) & 1 == b
+                assert next_state(trellis, p, b) & 1 == b
 
 
 def test_butterfly_closure():
     for trellis in TRELLISES:
         half = trellis.num_states // 2
         for j in range(half):
-            succ_low = {trellis.next_state(j, b) for b in (0, 1)}
-            succ_high = {trellis.next_state(j + half, b) for b in (0, 1)}
+            succ_low = {next_state(trellis, j, b) for b in (0, 1)}
+            succ_high = {next_state(trellis, j + half, b) for b in (0, 1)}
             assert succ_low == succ_high == {2 * j, 2 * j + 1}
 
 
 def test_predecessor_consistency():
     for trellis in TRELLISES:
         for s in range(trellis.num_states):
-            lower, upper = trellis.predecessors(s)
+            lower, upper = predecessors(trellis, s)
             assert lower < trellis.num_states // 2 <= upper < trellis.num_states
-            assert trellis.next_state(lower, s % 2) == s
-            assert trellis.next_state(upper, s % 2) == s
+            assert next_state(trellis, lower, s % 2) == s
+            assert next_state(trellis, upper, s % 2) == s
 
 
 def test_branch_antipodality_within_butterfly(default_trellis):
@@ -104,8 +107,8 @@ def test_branch_antipodality_within_butterfly(default_trellis):
     half = default_trellis.num_states // 2
     for j in range(half):
         for b in (0, 1):
-            low = default_trellis.branch_symbol(j, b)
-            high = default_trellis.branch_symbol(j + half, b)
+            low = branch_symbol(default_trellis, j, b)
+            high = branch_symbol(default_trellis, j + half, b)
             assert low == (1 - high[0], 1 - high[1])
 
 
@@ -114,7 +117,7 @@ def test_next_state_covers_each_state_twice():
         counts = [0] * trellis.num_states
         for p in range(trellis.num_states):
             for b in (0, 1):
-                counts[trellis.next_state(p, b)] += 1
+                counts[next_state(trellis, p, b)] += 1
         assert counts == [2] * trellis.num_states
 
 
@@ -129,7 +132,7 @@ def test_branch_symbol_is_tap_parity():
                 expected = tuple(
                     sum(t * r for t, r in zip(taps, register)) % 2 for taps in spec.generators
                 )
-                assert trellis.branch_symbol(state, bit) == expected
+                assert branch_symbol(trellis, state, bit) == expected
 
 
 def test_symbol_table_is_read_only():
