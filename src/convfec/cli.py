@@ -294,14 +294,15 @@ def _parse_bit_count(text: str, flag: str) -> int:
 
 
 def _cmd_ber_sweep(args: argparse.Namespace, spec: CodeSpec) -> int:
-    cfg = SweepConfig(
-        ebno_points=_parse_ebno(args.ebno),
-        min_info_bits=_parse_bit_count(args.min_bits, "--min-bits"),
-        max_info_bits=_parse_bit_count(args.max_bits, "--max-bits"),
-        stop_at_errors=args.stop_errors,
-        seed=args.seed,
-        spec=spec,
-    )
+    ebno = _parse_ebno(args.ebno)
+    low = _parse_bit_count(args.min_bits, "--min-bits")
+    high = _parse_bit_count(args.max_bits, "--max-bits")
+    if low > high:
+        raise CliError(f"--min-bits {low} exceeds --max-bits {high}")
+    if args.stop_errors < 0:
+        raise CliError(f"--stop-errors must be nonnegative, got {args.stop_errors}")
+    cfg = SweepConfig(ebno_points=ebno, min_info_bits=low, max_info_bits=high,
+                      stop_at_errors=args.stop_errors, seed=args.seed, spec=spec)
     _write_text(args.out, format_ber_csv(ber_sweep(cfg)))
     return 0
 

@@ -23,8 +23,8 @@ _SYMBOL_HAMMING = np.array(  # Hamming distance between packed 2-bit symbols
     [[bin(a ^ b).count("1") for b in range(4)] for a in range(4)], dtype=np.uint8)
 
 
-def _sentinel(dtype: np.dtype) -> int:  # unreachable: half the range, so sums cannot wrap
-    return int(np.iinfo(dtype).max) // 2
+def _sentinel(dtype: np.dtype) -> int:  # unreachable: a sentinel plus one branch (at most 2) still fits
+    return int(np.iinfo(dtype).max) - 2
 
 
 @dataclass(frozen=True)
@@ -64,19 +64,20 @@ def _acs_kernel(rsym: np.ndarray, trellis: Trellis) -> tuple[np.ndarray, np.ndar
     butterfly per stage); ties keep the lower predecessor."""
     stages, n = rsym.shape
     states, half = trellis.num_states, trellis.num_states >> 1
-    # int16 while every path metric (at most 2 per stage) fits under the sentinel
-    dtype = np.int16 if 2 * stages < _sentinel(np.int16) else np.int32
-    d = _SYMBOL_HAMMING.T.astype(dtype)[:, rsym]  # d[e, t, i]: distance to symbol e
+    # the narrowest type whose sentinel exceeds 2L, the largest reachable metric (int8 to L = 62)
+    dtype = next(t for t in (np.int8, np.int16, np.int32) if 2 * stages < _sentinel(t))
+    # d[t, e, i]: distance to symbol e, time-major so a stage gathers one contiguous block
+    d = np.take(_SYMBOL_HAMMING.astype(dtype), rsym, axis=0).swapaxes(1, 2).copy()
     metric = np.full((states, n), _sentinel(dtype), dtype=dtype)
     metric[0] = 0
     clamp = np.full(n, _sentinel(dtype), dtype=dtype)  # a row broadcasts faster than a scalar
     words = np.empty((stages, states, -(-n // 8)), dtype=np.uint8)
-    # only these stages have unreachable states: saturating their sums makes two
-    # unreachable predecessors tie, so their survivor bits are defined
+    # only these stages have unreachable states: clamping their sums to the sentinel keeps
+    # every sum at most max and makes unreachable predecessors tie, so their bits are defined
     warmup = trellis.spec.constraint_length - 1
     for t in range(stages):
         # cand[u, j, b]: the path into state 2j + b from predecessor j + u * S/2
-        cand = metric.reshape(2, half, 1, n) + d[trellis.symbol_table, t].reshape(2, half, 2, n)
+        cand = metric.reshape(2, half, 1, n) + d[t][trellis.symbol_table].reshape(2, half, 2, n)
         if t < warmup:
             np.minimum(cand, clamp, out=cand)
         words[t] = np.packbits((cand[1] < cand[0]).reshape(states, n), axis=1, bitorder="little")
@@ -158,7 +159,7 @@ def decode_frames(coded: np.ndarray, trellis: Trellis,
 def _decode_one(coded: Sequence[int], trellis: Trellis, scheme: str) -> DecodeResult:
     raw, expect = np.asarray(coded), 2 * trellis.spec.frame_stages
     if raw.ndim != 1 or raw.size != expect:
-        raise ValueError(f"coded frame must be {expect} bits, got {raw.size}")
+        raise ValueError(f"coded frame must be {expect} bits, got shape {raw.shape}")
     decoded, metrics = decode_frames(raw[np.newaxis], trellis, scheme)
     return DecodeResult(decoded[0].tolist(), int(metrics[0]),
                         ActivityReport.for_frames(trellis.spec, scheme, 1))

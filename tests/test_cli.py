@@ -293,6 +293,17 @@ def test_ber_sweep_bad_ebno(capsys):
     assert "step" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--max-bits", "5e4"], "--min-bits 100000 exceeds --max-bits 50000"),
+    (["--stop-errors", "-1"], "--stop-errors must be nonnegative, got -1"),
+])
+def test_ber_sweep_budget_diagnostics_name_the_flags(tmp_path, capsys, flags, message):
+    out = tmp_path / "ber.csv"
+    assert run(["ber-sweep", "--ebno", "6", *flags, "-o", str(out)]) == 1
+    assert capsys.readouterr().err == f"convfec: error: {message}\n"
+    assert not out.exists()
+
+
 def _limit_address_space() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 

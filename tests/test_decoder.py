@@ -35,7 +35,7 @@ def _noisy_frames(trellis, n, ebno_db, seed):
 
 def test_acs_first_stage_from_reset(default_trellis):
     metric, words = _acs_kernel(np.zeros((1, 1), dtype=np.uint8), default_trellis)
-    reachable = metric[:, 0] < _sentinel(np.int16)
+    reachable = metric[:, 0] < _sentinel(metric.dtype)
     assert list(np.flatnonzero(reachable)) == [0, 1]
     assert metric[0, 0] == 0
     assert metric[1, 0] == 2
@@ -131,6 +131,11 @@ def test_decode_rejects_bad_frames(default_trellis):
         decode_frame([0] * 79 + [256], default_trellis)
     with pytest.raises(ValueError, match="0/1"):
         decode_frame([0.5] * 80, default_trellis)
+    # the message names the shape: a 2-D frame has 80 bits but the wrong shape
+    with pytest.raises(ValueError, match=r"must be 80 bits, got shape \(1, 80\)$"):
+        decode_frame(np.zeros((1, 80)), default_trellis)
+    with pytest.raises(ValueError, match=r"must be 80 bits, got shape \(81,\)$"):
+        decode_frame([0] * 81, default_trellis)
 
 
 def test_final_metric_is_distance_to_reencoded_decision(default_trellis):

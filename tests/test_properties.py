@@ -94,18 +94,23 @@ def _check_agreement(spec: CodeSpec, words: np.ndarray, oracle: bool = True) -> 
             assert ml_decode(row, spec).best_distance == metric
 
 
-def _check_stage_words(spec: CodeSpec, words: np.ndarray) -> None:
+def _check_stage_words(spec: CodeSpec, words: np.ndarray) -> np.dtype:
     """Kernel stage words on every state and stage, unreachable states included,
-    and every final metric equal :func:`reference_acs`."""
+    and every final metric equal :func:`reference_acs`.  Returns the kernel's
+    metric dtype."""
     trellis = build_trellis(spec)
     rsym = (words[:, 0::2] << 1 | words[:, 1::2]).T
     metric, stage_words = _acs_kernel(rsym, trellis)
+    references: dict[tuple[int, ...], tuple[list[int], list[float]]] = {}
     for i, row in enumerate(words.tolist()):
-        ref_words, ref_metric = reference_acs(row, spec)
+        if tuple(row) not in references:  # repeated rows are checked against one run
+            references[tuple(row)] = reference_acs(row, spec)
+        ref_words, ref_metric = references[tuple(row)]
         for t, word in enumerate(ref_words):
             bits = (stage_words[t, :, i >> 3] >> (i & 7)) & 1
             assert bits.tolist() == [(word >> s) & 1 for s in range(spec.num_states)]
         assert metric[:, i].tolist() == ref_metric
+    return metric.dtype
 
 
 @PROPERTY_SETTINGS
@@ -120,6 +125,26 @@ def test_decoders_agree_with_each_other_and_the_references(data):
 def test_kernel_stage_words_equal_reference_acs_on_every_state(data):
     spec = data.draw(code_specs())
     _check_stage_words(spec, data.draw(received_words(spec)))
+
+
+@pytest.mark.parametrize("n", [1, 13, 300])
+@pytest.mark.parametrize("stages, dtype", [(62, np.int8), (63, np.int16)])
+def test_kernel_metric_dtype_boundary_equals_reference_acs(stages, dtype, n):
+    # 2L = 124 is the last metric bound under int8's sentinel 127 - 2; one
+    # stage more needs int16.  All-0 and all-3 symbols are the extreme inputs.
+    spec = CodeSpec.from_octal("23,35", constraint_length=5, frame_stages=stages)
+    rng = np.random.default_rng(stages * 1000 + n)
+    random_words = rng.integers(0, 2, size=(n, 2 * stages), dtype=np.uint8)
+    for words in (random_words, np.zeros_like(random_words), np.ones_like(random_words)):
+        assert _check_stage_words(spec, words) == dtype
+
+
+@pytest.mark.parametrize("stages, dtype", [(16382, np.int16), (16383, np.int32)])
+def test_kernel_int16_boundary_equals_reference_acs(stages, dtype):
+    # one frame, called directly: 2L = 32764 is the last bound under 32767 - 2
+    spec = CodeSpec.from_octal("5,7", constraint_length=3, frame_stages=stages)
+    words = np.random.default_rng(stages).integers(0, 2, size=(1, 2 * stages), dtype=np.uint8)
+    assert _check_stage_words(spec, words) == dtype
 
 
 def _k9_words(n: int, seed: int, stages: int = 20) -> tuple[CodeSpec, np.ndarray]:
