@@ -15,6 +15,19 @@ from typing import Iterable, Sequence
 import numpy as np
 
 
+def ebno_ratio(ebno_db: float) -> float:
+    """Eb/N0 as a power ratio, ``10^(ebno_db/10)``; ``ValueError`` unless that
+    is a finite positive float (NaN, infinities and beyond about +-3000 dB fail)."""
+    try:
+        ratio = 10.0 ** (ebno_db / 10.0)
+    except OverflowError:
+        ratio = math.inf
+    if not 0.0 < ratio < math.inf:
+        raise ValueError(f"Eb/N0 of {ebno_db!r} dB is out of range: "
+                         "10^(dB/10) must be a finite positive number")
+    return ratio
+
+
 @dataclass(frozen=True)
 class NoiseConfig:
     """AWGN operating point.  Noise is reproducible for a given seed; the
@@ -25,14 +38,13 @@ class NoiseConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.ebno_db):
-            raise ValueError(f"ebno_db must be finite, got {self.ebno_db!r}")
+        ebno_ratio(self.ebno_db)
         if not 0.0 < self.code_rate <= 1.0:
             raise ValueError(f"code_rate must be in (0, 1], got {self.code_rate!r}")
 
     @property
     def noise_variance(self) -> float:
-        return 1.0 / (2.0 * self.code_rate * 10.0 ** (self.ebno_db / 10.0))
+        return 1.0 / (2.0 * self.code_rate * ebno_ratio(self.ebno_db))
 
     @property
     def noise_sigma(self) -> float:

@@ -35,6 +35,7 @@ from .trellis import CodeSpec, build_trellis
 
 _ACTIVITY_CSV_HEADER = "scheme,frames,survivor_bit_writes,metric_writes,traceback_reads"
 _MAX_EBNO_POINTS = 1000  # a longer --ebno range is a typo, not a sweep anyone can wait for
+_NEWLINE, _CARRIAGE_RETURN = ord("\n"), ord("\r")
 
 
 class CliError(Exception):
@@ -156,25 +157,39 @@ def _read_frames(path: str, expected_len: int, what: str) -> np.ndarray:
 
 
 def _parse_lines(fp, expected_len: int, what: str) -> np.ndarray:
-    lines: list[str] = []
-    for lineno, raw in enumerate(fp, 1):
-        line = raw.rstrip("\r\n")
-        if not line:
-            continue
+    """Whole-buffer parse of '0'/'1' lines.  Trailing '\\r's are stripped, and
+    blank lines are skipped but still count in the line numbers."""
+    text = fp.read()
+    raw = np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)  # a byte per character
+    width = expected_len + 1
+    if raw.size % width == 0:  # the common case: every line full, bare and terminated
+        rows = raw.reshape(-1, width)
+        bits = rows[:, :-1] - ord("0")  # uint8: anything but '0'/'1' wraps above 1
+        if (rows[:, -1] == _NEWLINE).all() and bits.max(initial=0) <= 1:
+            return bits
+    sep = raw == _NEWLINE
+    newlines = np.flatnonzero(sep)
+    starts, ends = np.r_[0, newlines + 1], np.r_[newlines, raw.size]
+    # only stdin keeps '\r's; one is trailing when only '\r's follow it to its line's end
+    cr = np.flatnonzero(raw == _CARRIAGE_RETURN)
+    line_end = ends[np.searchsorted(newlines, cr)]
+    cr = cr[np.searchsorted(cr, line_end) - np.arange(cr.size) == line_end - cr]
+    sep[cr] = True
+    lengths = ends - starts - np.bincount(np.searchsorted(newlines, cr), minlength=ends.size)
+    invalid = ((raw - ord("0")) > 1) & ~sep
+    offending = np.flatnonzero((lengths != expected_len) & (lengths > 0))[:1].tolist()
+    if invalid.any():
+        offending.append(int(np.searchsorted(newlines, invalid.argmax())))
+    if offending:
+        i = min(offending)
+        line = text[starts[i]:starts[i] + lengths[i]]
         bad = line.lstrip("01")
         if bad:
-            raise CliError(
-                f"line {lineno}: invalid character {bad[0]!r} "
-                "(frames are lines of '0'/'1')"
-            )
-        if len(line) != expected_len:
-            raise CliError(
-                f"line {lineno}: {what} frame must be {expected_len} bits, "
-                f"got {len(line)}"
-            )
-        lines.append(line)
-    digits = np.frombuffer("".join(lines).encode("ascii"), dtype=np.uint8)
-    return (digits - ord("0")).reshape(len(lines), expected_len)
+            raise CliError(f"line {i + 1}: invalid character {bad[0]!r} "
+                           "(frames are lines of '0'/'1')")
+        raise CliError(f"line {i + 1}: {what} frame must be {expected_len} bits, "
+                       f"got {len(line)}")
+    return (raw[~sep] - ord("0")).reshape(np.count_nonzero(lengths), expected_len)
 
 
 def _format_frames(frames: Sequence[Sequence[int]]) -> str:

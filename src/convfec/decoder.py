@@ -93,12 +93,13 @@ def traceback(words: np.ndarray, trellis: Trellis, frames: int) -> np.ndarray:
     if words.shape[0] != stages:
         raise ValueError(f"traceback needs a complete frame: {words.shape[0]} of "
                          f"{stages} stage words written")
-    half = trellis.num_states >> 1
+    half, nbytes = trellis.num_states >> 1, words.shape[2]
     byte, shift = np.arange(frames) >> 3, np.arange(frames) & 7  # intp, so upper * half cannot wrap
+    flat = words.reshape(stages, -1)  # one 1-D take per stage, at state * nbytes + byte
     paths = np.empty((stages + 1, frames), dtype=np.int64)
     paths[0] = state = np.zeros(frames, dtype=np.int64)
     for k in range(1, stages + 1):
-        upper = (words[stages - k, state, byte] >> shift) & 1
+        upper = (flat[stages - k].take(state * nbytes + byte) >> shift) & 1
         paths[k] = state = (state >> 1) + upper * half
     return paths.T
 

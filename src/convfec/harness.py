@@ -18,7 +18,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .channel import NoiseConfig, add_awgn, bpsk_modulate, hard_quantize
+from .channel import NoiseConfig, add_awgn, bpsk_modulate, ebno_ratio, hard_quantize
 from .decoder import REGISTER_EXCHANGE, TRACEBACK, ActivityReport, decode_frames
 from .encoder import encode_frames
 from .trellis import DEFAULT_SPEC, CodeSpec, build_trellis
@@ -68,6 +68,8 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if not self.ebno_points:
             raise ValueError("ebno_points must name at least one Eb/N0 point")
+        for ebno_db in self.ebno_points:  # before any Monte-Carlo work
+            ebno_ratio(ebno_db)
         if self.min_info_bits < 0:
             raise ValueError("min_info_bits must be nonnegative")
         if self.min_info_bits > self.max_info_bits:
@@ -78,10 +80,8 @@ class SweepConfig:
 
 def theoretical_uncoded_ber(ebno_db: float) -> float:
     """Uncoded coherent BPSK error rate, Q(sqrt(2 * Eb/N0))."""
-    if not math.isfinite(ebno_db):
-        raise ValueError(f"ebno_db must be finite, got {ebno_db!r}")
     # Q(sqrt(2x)) == erfc(sqrt(x)) / 2
-    return 0.5 * math.erfc(math.sqrt(10.0 ** (ebno_db / 10.0)))
+    return 0.5 * math.erfc(math.sqrt(ebno_ratio(ebno_db)))
 
 
 def _stop(cfg: SweepConfig, info_bits: int, bit_errors: int) -> bool:

@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 
+from convfec.cli import CliError
 from convfec.trellis import CodeSpec
 
 
@@ -196,3 +197,26 @@ def low_weight_codewords(spec: CodeSpec, max_weight: int) -> list[tuple[int, tup
 
     walk(0, 0, 0, False)
     return found
+
+
+def reference_parse_lines(fp, expected_len: int, what: str) -> np.ndarray:
+    """The CLI's frame-file parser as a per-line loop over the stream."""
+    lines: list[str] = []
+    for lineno, raw in enumerate(fp, 1):
+        line = raw.rstrip("\r\n")
+        if not line:
+            continue
+        bad = line.lstrip("01")
+        if bad:
+            raise CliError(
+                f"line {lineno}: invalid character {bad[0]!r} "
+                "(frames are lines of '0'/'1')"
+            )
+        if len(line) != expected_len:
+            raise CliError(
+                f"line {lineno}: {what} frame must be {expected_len} bits, "
+                f"got {len(line)}"
+            )
+        lines.append(line)
+    digits = np.frombuffer("".join(lines).encode("ascii"), dtype=np.uint8)
+    return (digits - ord("0")).reshape(len(lines), expected_len)

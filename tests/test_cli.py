@@ -10,10 +10,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from convfec.cli import CliError, _parse_ebno, run
+from convfec.cli import CliError, _parse_ebno, _parse_lines, run
 from convfec.oracle import _codebook, ml_decode
 from convfec.trellis import CodeSpec
+
+from reference import reference_parse_lines
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -116,6 +120,54 @@ def test_crlf_input_decodes_byte_identically(tmp_path, payload_file):
     assert run(["decode", "-i", str(coded), "-o", str(plain_out)]) == 0
     assert run(["decode", "-i", str(crlf), "-o", str(crlf_out)]) == 0
     assert crlf_out.read_bytes() == plain_out.read_bytes()
+
+
+def test_lone_carriage_return_in_a_file_is_a_line_break(tmp_path):
+    # files are read with universal newlines: '\r' alone ends a line, as '\r\n' does
+    payloads = tmp_path / "cr.txt"
+    payloads.write_bytes(b"0" * 34 + b"\r" + b"1" * 34 + b"\r\n")
+    out = tmp_path / "out.txt"
+    assert run(["encode", "-i", str(payloads), "-o", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 2
+
+
+_LINE_ATOMS = ("0", "1", " ", "x", "\u00e9", "\udcc3", "\r")
+_BREAKS = ("\n", "\r\n", "\r\r\n", "\r")
+
+
+@st.composite
+def _frame_texts(draw):
+    """A width and a text of lines that are valid, short, long, blank or
+    hold invalid characters, with mixed line breaks and maybe no final one."""
+    width = draw(st.integers(1, 5))
+    line = st.one_of(st.text("01", min_size=width, max_size=width),
+                     st.lists(st.sampled_from(_LINE_ATOMS), max_size=width + 2).map("".join))
+    pairs = draw(st.lists(st.tuples(line, st.sampled_from(_BREAKS)), max_size=6))
+    text = "".join(body + end for body, end in pairs)
+    if draw(st.booleans()):
+        text += draw(line)  # an unterminated last line
+    return width, text
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=600)
+@given(_frame_texts(), st.sampled_from(["\n", None]))
+def test_parse_lines_equals_the_per_line_reference(case, newline):
+    # newline="\n" reads like stdin ('\r' kept), None like a file (universal newlines)
+    width, text = case
+
+    def outcome(parse):
+        try:
+            return parse(io.StringIO(text, newline=newline), width, "coded")
+        except CliError as exc:
+            return str(exc)
+
+    got, want = outcome(_parse_lines), outcome(reference_parse_lines)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert isinstance(got, np.ndarray)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert np.array_equal(got, want)
 
 
 def test_wrong_length_line_diagnostic(tmp_path, capsys):
@@ -301,6 +353,23 @@ def test_ber_sweep_budget_diagnostics_name_the_flags(tmp_path, capsys, flags, me
     out = tmp_path / "ber.csv"
     assert run(["ber-sweep", "--ebno", "6", *flags, "-o", str(out)]) == 1
     assert capsys.readouterr().err == f"convfec: error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["ber-sweep", "--ebno=4000", "--min-bits", "0", "--max-bits", "1000"],
+    ["ber-sweep", "--ebno=-4000", "--min-bits", "0", "--max-bits", "1000"],
+    ["ber-sweep", "--ebno=2,-4000", "--min-bits", "0", "--max-bits", "1000"],
+    ["power-compare", "--ebno=4000"],
+    ["power-compare", "--ebno=-4000"],
+])
+def test_extreme_ebno_is_one_line(tmp_path, capsys, argv):
+    # 10^(dB/10) overflows above about 3080 dB and is 0.0 below about -3240 dB
+    out = tmp_path / "out.csv"
+    assert run([*argv, "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("convfec: error: Eb/N0 of ") and "4000.0 dB" in err
     assert not out.exists()
 
 

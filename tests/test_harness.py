@@ -38,8 +38,9 @@ def test_theory_monotone_decreasing():
 
 
 def test_theory_rejects_non_finite():
-    with pytest.raises(ValueError):
-        theoretical_uncoded_ber(math.inf)
+    for ebno_db in (math.inf, 4000.0, -4000.0):
+        with pytest.raises(ValueError, match=f"Eb/N0 of {ebno_db!r} dB"):
+            theoretical_uncoded_ber(ebno_db)
 
 
 def test_sweep_config_validation():
@@ -47,6 +48,8 @@ def test_sweep_config_validation():
         SweepConfig((4.0,), min_info_bits=10, max_info_bits=5, stop_at_errors=0, seed=0)
     with pytest.raises(ValueError):
         SweepConfig((4.0,), min_info_bits=1, max_info_bits=5, stop_at_errors=-2, seed=0)
+    with pytest.raises(ValueError, match="Eb/N0 of 4000.0 dB"):  # every point, at construction
+        SweepConfig((4.0, 4000.0), min_info_bits=1, max_info_bits=5, stop_at_errors=0, seed=0)
 
 
 def test_noiseless_run_has_zero_errors():
