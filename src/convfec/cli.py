@@ -25,6 +25,7 @@ from .encoder import encode_frames
 from .channel import inject_errors
 from .harness import (
     SweepConfig,
+    _activity_csv,
     ber_sweep,
     format_ber_csv,
     format_power_csv,
@@ -33,7 +34,6 @@ from .harness import (
 from .oracle import MAX_PAYLOAD_BITS, ml_decode_frames
 from .trellis import CodeSpec, build_trellis
 
-_ACTIVITY_CSV_HEADER = "scheme,frames,survivor_bit_writes,metric_writes,traceback_reads"
 _MAX_EBNO_POINTS = 1000  # a longer --ebno range is a typo, not a sweep anyone can wait for
 _NEWLINE, _CARRIAGE_RETURN = ord("\n"), ord("\r")
 
@@ -242,9 +242,7 @@ def _cmd_decode(args: argparse.Namespace, spec: CodeSpec) -> int:
     _write_text(args.output, _format_frames(decoded[:, : spec.payload_length]))
     if args.activity is not None:
         report = ActivityReport.for_frames(spec, scheme, len(frames))
-        row = (f"{scheme},{len(frames)},{report.survivor_bit_writes},"
-               f"{report.metric_writes},{report.traceback_reads}")
-        _write_text(args.activity, f"{_ACTIVITY_CSV_HEADER}\n{row}\n")
+        _write_text(args.activity, _activity_csv(len(frames), [report]))
     return 0
 
 

@@ -2,7 +2,9 @@
 
 Sweeps run both schemes per Eb/N0 point: uncoded BPSK as the reference
 curve and the convolutionally coded chain (encode, BPSK, AWGN, 1-bit
-quantize, Viterbi).  Results serialize to CSV; plotting stays external.
+quantize, Viterbi).  ``power_compare`` is one more cell of the same runner:
+the coded chain whose receive step decodes under both survivor schemes.
+Results serialize to CSV; plotting stays external.
 
 Reproducibility: each (point, scheme) cell draws from its own generator
 spawned from the sweep seed, batches have a fixed size, and the stopping
@@ -13,7 +15,7 @@ byte-identical CSV output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable
 
 import numpy as np
@@ -27,9 +29,8 @@ UNCODED_BPSK = "uncoded-bpsk"
 CODED_VITERBI = "coded-viterbi"
 
 BER_CSV_HEADER = "scheme,ebno_db,info_bits,bit_errors,frame_errors,ber,seed"
-POWER_CSV_HEADER = (
-    "scheme,frames,survivor_bit_writes,metric_writes,traceback_reads,survivor_write_ratio"
-)
+_ACTIVITY_CSV_HEADER = "scheme,frames,survivor_bit_writes,metric_writes,traceback_reads"
+POWER_CSV_HEADER = f"{_ACTIVITY_CSV_HEADER},survivor_write_ratio"
 
 # frames per Monte-Carlo batch; fixed so stopping decisions are reproducible
 _BATCH_FRAMES = 2048
@@ -68,8 +69,8 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if not self.ebno_points:
             raise ValueError("ebno_points must name at least one Eb/N0 point")
-        for ebno_db in self.ebno_points:  # before any Monte-Carlo work
-            ebno_ratio(ebno_db)
+        for ebno_db in self.ebno_points:  # before any Monte-Carlo work; rate 1/2 is the noisier
+            NoiseConfig(ebno_db, code_rate=0.5)
         if self.min_info_bits < 0:
             raise ValueError("min_info_bits must be nonnegative")
         if self.min_info_bits > self.max_info_bits:
@@ -90,11 +91,6 @@ def _stop(cfg: SweepConfig, info_bits: int, bit_errors: int) -> bool:
     return bit_errors >= cfg.stop_at_errors or info_bits >= cfg.max_info_bits
 
 
-def _channel(sent: np.ndarray, noise: NoiseConfig, rng: np.random.Generator) -> np.ndarray:
-    """BPSK, AWGN and the hard slicer, shape kept."""
-    return hard_quantize(add_awgn(bpsk_modulate(sent.ravel()), noise, rng)).reshape(sent.shape)
-
-
 def _run_point(
     cfg: SweepConfig, scheme: str, ebno_db: float, code_rate: float,
     rng: np.random.Generator, transmit: _Stage, receive: _Stage,
@@ -109,7 +105,9 @@ def _run_point(
         remaining = -(-(cfg.max_info_bits - info_bits) // block)
         n = max(1, min(_BATCH_FRAMES, remaining))
         payloads = rng.integers(0, 2, size=(n, block), dtype=np.uint8)
-        received = _channel(transmit(payloads), noise, rng)
+        sent = transmit(payloads)
+        # BPSK, AWGN and the hard slicer, shape kept
+        received = hard_quantize(add_awgn(bpsk_modulate(sent.ravel()), noise, rng)).reshape(sent.shape)
         wrong = receive(received) != payloads
         info_bits += n * block
         bit_errors += int(np.count_nonzero(wrong))
@@ -164,15 +162,11 @@ def power_compare(cfg: SweepConfig) -> PowerCompareResult:
     """
     spec = cfg.spec
     trellis = build_trellis(spec)
-    payload_len = spec.payload_length
-    frames = cfg.max_info_bits // payload_len
-    rng = np.random.default_rng(cfg.seed)
-    noise = NoiseConfig(cfg.ebno_points[0], code_rate=0.5, seed=cfg.seed)
-    done = 0
-    while done < frames:
-        n = min(_BATCH_FRAMES, frames - done)
-        payloads = rng.integers(0, 2, size=(n, payload_len), dtype=np.uint8)
-        received = _channel(encode_frames(payloads, trellis), noise, rng)
+    frames = cfg.max_info_bits // spec.payload_length
+    done = 0  # frames decoded by earlier batches
+
+    def receive(received: np.ndarray) -> np.ndarray:
+        nonlocal done
         tb_bits, tb_metrics = decode_frames(received, trellis, TRACEBACK)
         re_bits, re_metrics = decode_frames(received, trellis, REGISTER_EXCHANGE)
         differ = np.flatnonzero((tb_bits != re_bits).any(axis=1) | (tb_metrics != re_metrics))
@@ -182,19 +176,19 @@ def power_compare(cfg: SweepConfig) -> PowerCompareResult:
                 f"survivor schemes disagree on frame {done + i}: "
                 f"{tb_metrics[i]} vs {re_metrics[i]}"
             )
-        done += n
+        done += len(received)
+        return tb_bits[:, :spec.payload_length]
+
+    if frames:  # the runner runs at least one batch; its budget here is exactly `frames`
+        bits = frames * spec.payload_length
+        exact = replace(cfg, min_info_bits=bits, max_info_bits=bits, stop_at_errors=0)
+        _run_point(exact, CODED_VITERBI, cfg.ebno_points[0], 0.5, np.random.default_rng(cfg.seed),
+                   lambda payloads: encode_frames(payloads, trellis), receive)
 
     traceback = ActivityReport.for_frames(spec, TRACEBACK, frames)
     register_exchange = ActivityReport.for_frames(spec, REGISTER_EXCHANGE, frames)
-    return PowerCompareResult(
-        traceback=traceback,
-        register_exchange=register_exchange,
-        frames=frames,
-        survivor_write_ratio=(
-            register_exchange.survivor_bit_writes / traceback.survivor_bit_writes
-            if frames else None
-        ),
-    )
+    ratio = register_exchange.survivor_bit_writes / traceback.survivor_bit_writes if frames else None
+    return PowerCompareResult(traceback, register_exchange, frames, ratio)
 
 
 def format_ber_csv(points: Iterable[BerPoint]) -> str:
@@ -209,11 +203,13 @@ def format_ber_csv(points: Iterable[BerPoint]) -> str:
 
 def format_power_csv(result: PowerCompareResult) -> str:
     ratio = "" if result.survivor_write_ratio is None else repr(result.survivor_write_ratio)
-    lines = [POWER_CSV_HEADER]
-    for report in (result.traceback, result.register_exchange):
-        lines.append(
-            f"{report.scheme},{result.frames},{report.survivor_bit_writes},"
-            f"{report.metric_writes},{report.traceback_reads},{ratio}"
-        )
-    return "\n".join(lines) + "\n"
+    return _activity_csv(result.frames, (result.traceback, result.register_exchange), ratio)
 
+
+def _activity_csv(frames: int, reports: Iterable[ActivityReport], ratio: str | None = None) -> str:
+    """Header and one row per report; a ``ratio`` adds the survivor_write_ratio column."""
+    extra = "" if ratio is None else f",{ratio}"
+    lines = [_ACTIVITY_CSV_HEADER if ratio is None else POWER_CSV_HEADER]
+    lines += (f"{r.scheme},{frames},{r.survivor_bit_writes},{r.metric_writes},"
+              f"{r.traceback_reads}{extra}" for r in reports)
+    return "\n".join(lines) + "\n"

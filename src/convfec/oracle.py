@@ -89,5 +89,5 @@ def ml_decode(received: Sequence[int], spec: CodeSpec) -> MlResult:
     case of :func:`ml_decode_frames`."""
     raw = np.asarray(received)
     if raw.ndim != 1 or raw.size != 2 * spec.frame_stages:
-        raise ValueError(f"received word must be {2 * spec.frame_stages} bits, got {raw.size}")
+        raise ValueError(f"received word must be {2 * spec.frame_stages} bits, got shape {raw.shape}")
     return ml_decode_frames(raw[np.newaxis], spec)[0]

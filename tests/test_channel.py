@@ -42,7 +42,8 @@ def test_noise_config_validation():
         NoiseConfig(4.0, 0.0)
     with pytest.raises(ValueError):
         NoiseConfig(4.0, 1.5)
-    for ebno_db in (4000.0, -4000.0, math.nan):  # 10^(dB/10) overflows, underflows to 0, is NaN
+    # 10^(dB/10) overflows, underflows to 0, is subnormal (infinite variance), is NaN
+    for ebno_db in (4000.0, -4000.0, -3200.0, math.nan):
         with pytest.raises(ValueError, match=f"Eb/N0 of {ebno_db!r} dB"):
             NoiseConfig(ebno_db, 0.5)
 

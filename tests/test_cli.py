@@ -362,14 +362,18 @@ def test_ber_sweep_budget_diagnostics_name_the_flags(tmp_path, capsys, flags, me
     ["ber-sweep", "--ebno=2,-4000", "--min-bits", "0", "--max-bits", "1000"],
     ["power-compare", "--ebno=4000"],
     ["power-compare", "--ebno=-4000"],
+    ["power-compare", "--ebno=-3200", "--frames", "10"],
+    ["ber-sweep", "--ebno", "0,-3200", "--min-bits", "0", "--max-bits", "1000"],
 ])
 def test_extreme_ebno_is_one_line(tmp_path, capsys, argv):
-    # 10^(dB/10) overflows above about 3080 dB and is 0.0 below about -3240 dB
+    # 10^(dB/10) overflows above about 3080 dB and is 0.0 below about -3240 dB;
+    # at -3200 dB it is subnormal and the rate-1/2 noise variance is infinite
     out = tmp_path / "out.csv"
     assert run([*argv, "-o", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1
-    assert err.startswith("convfec: error: Eb/N0 of ") and "4000.0 dB" in err
+    assert err.startswith("convfec: error: Eb/N0 of ")
+    assert "4000.0 dB" in err or "-3200.0 dB" in err
     assert not out.exists()
 
 

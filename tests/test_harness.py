@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import pytest
 
+from convfec import harness
+from convfec.decoder import REGISTER_EXCHANGE, TRACEBACK
 from convfec.harness import (
     CODED_VITERBI,
     UNCODED_BPSK,
@@ -126,6 +129,25 @@ def test_stop_rule_limits_run_length():
     assert uncoded.info_bits < 1_000_000
 
 
+def _spy_on_decode_frames(monkeypatch, flip_frame=None):
+    """Count the frames each scheme decodes in ``power_compare``; with
+    ``flip_frame``, register exchange returns that frame with bit 0 flipped."""
+    seen = Counter()
+    decode = harness.decode_frames
+
+    def spy(received, trellis, scheme):
+        bits, metrics = decode(received, trellis, scheme)
+        row = -1 if flip_frame is None else flip_frame - seen[scheme]
+        if scheme == REGISTER_EXCHANGE and 0 <= row < len(bits):
+            bits = bits.copy()
+            bits[row, 0] ^= 1
+        seen[scheme] += len(received)
+        return bits, metrics
+
+    monkeypatch.setattr(harness, "decode_frames", spy)
+    return seen
+
+
 def test_power_compare_closed_forms():
     frames = 3
     cfg = SweepConfig(
@@ -142,7 +164,8 @@ def test_power_compare_closed_forms():
     assert result.survivor_write_ratio == 20.5
 
 
-def test_power_compare_zero_frames():
+def test_power_compare_zero_frames(monkeypatch):
+    seen = _spy_on_decode_frames(monkeypatch)
     cfg = SweepConfig(
         ebno_points=(4.0,),
         min_info_bits=0,
@@ -155,6 +178,7 @@ def test_power_compare_zero_frames():
     assert result.traceback.survivor_bit_writes == 0
     assert result.register_exchange.survivor_bit_writes == 0
     assert result.survivor_write_ratio is None
+    assert not seen  # nothing decoded
 
 
 def test_power_compare_small_code_ratio():
@@ -168,6 +192,22 @@ def test_power_compare_small_code_ratio():
         spec=spec,
     )
     assert power_compare(cfg).survivor_write_ratio == 3.0
+
+
+def test_power_compare_names_the_disagreeing_frame_across_batches(monkeypatch):
+    # 2500 frames run as batches of 2048 and 452: frame 2100 is row 52 of the second
+    _spy_on_decode_frames(monkeypatch, flip_frame=2100)
+    bits = 2500 * 34
+    cfg = SweepConfig((4.0,), min_info_bits=bits, max_info_bits=bits, stop_at_errors=0, seed=3)
+    with pytest.raises(RuntimeError, match=r"survivor schemes disagree on frame 2100: "):
+        power_compare(cfg)
+
+
+def test_power_compare_frame_count_ignores_the_stop_rule(monkeypatch):
+    seen = _spy_on_decode_frames(monkeypatch)
+    cfg = SweepConfig((4.0,), min_info_bits=0, max_info_bits=2500 * 34, stop_at_errors=0, seed=3)
+    assert power_compare(cfg).frames == 2500
+    assert seen == {TRACEBACK: 2500, REGISTER_EXCHANGE: 2500}
 
 
 def test_ber_csv_format():

@@ -61,6 +61,8 @@ def test_received_word_validation(k3_spec):
         ml_decode([0] * 9, k3_spec)
     with pytest.raises(ValueError, match="0/1"):
         ml_decode([0] * 9 + [2], k3_spec)
+    with pytest.raises(ValueError, match=r"16 bits, got shape \(1, 16\)"):
+        ml_decode(np.zeros((1, 16)), CodeSpec.from_octal("7,5", 3, 8))
 
 
 def test_matches_literal_enumeration_on_random_words(k3_spec):
