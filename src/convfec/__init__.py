@@ -25,7 +25,6 @@ from .decoder import (
     decode_frame,
     decode_frame_register_exchange,
     decode_frames,
-    output_map,
     stream_decode,
     traceback,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "hard_quantize",
     "inject_errors",
     "ml_decode",
-    "output_map",
     "power_compare",
     "stream_decode",
     "theoretical_uncoded_ber",

@@ -2,7 +2,8 @@
 
 The kernel writes one stage word per stage and frame, once: bit ``s`` is 1 when
 state ``s``'s survivor came via its upper branch (ties keep the lower one).  Trace-back
-and register exchange both read the words; they differ only in activity cost."""
+and register exchange both map the words to decoded bits; they differ only in activity
+cost.  Trace-back writes each stage's bit, the LSB of the state it walks through."""
 
 from __future__ import annotations
 
@@ -86,28 +87,23 @@ def _acs_kernel(rsym: np.ndarray, trellis: Trellis) -> tuple[np.ndarray, np.ndar
 
 
 def traceback(words: np.ndarray, trellis: Trellis, frames: int) -> np.ndarray:
-    """Trace-back survivor memory: each frame's state path, newest first, from
-    state 0, where the zero tail ends every frame.  Before state ``s`` comes
-    ``s >> 1``, plus ``S/2`` when its survivor bit is 1."""
-    stages = trellis.spec.frame_stages
-    if words.shape[0] != stages:
-        raise ValueError(f"traceback needs a complete frame: {words.shape[0]} of "
-                         f"{stages} stage words written")
-    half, nbytes = trellis.num_states >> 1, words.shape[2]
-    byte, shift = np.arange(frames) >> 3, np.arange(frames) & 7  # intp, so upper * half cannot wrap
+    """Trace-back survivor memory: each frame's decoded bits, oldest first, walking
+    back from state 0, where the zero tail ends every frame.  Stage ``t``'s bit is
+    the LSB of the state it walks through; before state ``s`` comes ``s >> 1``,
+    plus ``S/2`` when its survivor bit is 1."""
+    stages, states, nbytes = trellis.spec.frame_stages, trellis.num_states, -(-frames // 8)
+    if words.shape != (stages, states, nbytes):
+        raise ValueError(f"traceback needs a complete frame: stage words of shape "
+                         f"{(stages, states, nbytes)}, got {words.shape}")
+    byte, shift = np.arange(frames) >> 3, np.arange(frames) & 7  # intp, so upper * S/2 cannot wrap
     flat = words.reshape(stages, -1)  # one 1-D take per stage, at state * nbytes + byte
-    paths = np.empty((stages + 1, frames), dtype=np.int64)
-    paths[0] = state = np.zeros(frames, dtype=np.int64)
-    for k in range(1, stages + 1):
-        upper = (flat[stages - k].take(state * nbytes + byte) >> shift) & 1
-        paths[k] = state = (state >> 1) + upper * half
-    return paths.T
-
-
-def output_map(state_paths: np.ndarray) -> np.ndarray:
-    """Decoded bits, oldest first, from newest-first state paths: the bit that
-    enters a state is its LSB."""
-    return (np.asarray(state_paths)[..., -2::-1] & 1).astype(np.uint8)
+    bits = np.empty((stages, frames), dtype=np.uint8)
+    state = np.zeros(frames, dtype=np.intp)
+    for t in range(stages - 1, -1, -1):
+        bits[t] = state & 1
+        upper = (flat[t].take(state * nbytes + byte) >> shift) & 1
+        state = (state >> 1) + upper * (states >> 1)
+    return bits.T
 
 
 def _register_exchange(words: np.ndarray, trellis: Trellis, frames: int) -> np.ndarray:
@@ -126,6 +122,9 @@ def _register_exchange(words: np.ndarray, trellis: Trellis, frames: int) -> np.n
     return np.unpackbits(regs[0], axis=1, count=frames, bitorder="little").T
 
 
+_SURVIVOR_MEMORIES = {TRACEBACK: traceback, REGISTER_EXCHANGE: _register_exchange}
+
+
 def _check_terminal(final: np.ndarray, stages: int) -> None:
     # at most 2 per stage; an unreachable state 0 holds the sentinel and fails too
     if final.size and int(final.max()) > 2 * stages:
@@ -141,7 +140,8 @@ def decode_frames(coded: np.ndarray, trellis: Trellis,
     """
     spec = trellis.spec
     arr = bit_rows(coded, 2 * spec.frame_stages, "coded frames")
-    if scheme not in (TRACEBACK, REGISTER_EXCHANGE):
+    memory = _SURVIVOR_MEMORIES.get(scheme)
+    if memory is None:
         raise ValueError(f"unknown survivor scheme {scheme!r}")
     rsym = ((arr[:, 0::2] << 1) | arr[:, 1::2]).T
     decoded = np.empty((len(arr), spec.frame_stages), dtype=np.uint8)
@@ -150,9 +150,7 @@ def decode_frames(coded: np.ndarray, trellis: Trellis,
         block = slice(lo, lo + _BLOCK_FRAMES)
         metric, words = _acs_kernel(rsym[:, block], trellis)
         final_metrics[block] = metric[0]
-        n = metric.shape[1]
-        decoded[block] = (output_map(traceback(words, trellis, n)) if scheme == TRACEBACK
-                          else _register_exchange(words, trellis, n))
+        decoded[block] = memory(words, trellis, metric.shape[1])
     _check_terminal(final_metrics, spec.frame_stages)
     return decoded, final_metrics
 

@@ -20,12 +20,10 @@ def encode_frame(payload: Sequence[int], trellis: Trellis) -> list[int]:
     is appended here.  Output bit order per stage: first generator's bit,
     then the second generator's bit.  A one-frame :func:`encode_frames`.
     """
-    spec = trellis.spec
-    if len(payload) != spec.payload_length:
-        raise ValueError(
-            f"payload must be {spec.payload_length} bits, got {len(payload)}"
-        )
-    return encode_frames(np.asarray(payload)[np.newaxis], trellis)[0].tolist()
+    raw, expect = np.asarray(payload), trellis.spec.payload_length
+    if raw.ndim != 1 or raw.size != expect:
+        raise ValueError(f"payload must be {expect} bits, got shape {raw.shape}")
+    return encode_frames(raw[np.newaxis], trellis)[0].tolist()
 
 
 def encode_frames(payloads: np.ndarray, trellis: Trellis) -> np.ndarray:

@@ -77,6 +77,8 @@ class SweepConfig:
             raise ValueError("min_info_bits must not exceed max_info_bits")
         if self.stop_at_errors < 0:
             raise ValueError("stop_at_errors must be nonnegative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 def theoretical_uncoded_ber(ebno_db: float) -> float:

@@ -377,6 +377,19 @@ def test_extreme_ebno_is_one_line(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["ber-sweep", "--ebno", "4", "--min-bits", "0", "--max-bits", "100", "--seed", "-1"],
+    ["power-compare", "--frames", "2", "--seed", "-1"],
+])
+def test_negative_seed_is_one_line(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    assert run([*argv, "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "seed" in err and "-1" in err
+    assert not out.exists()
+
+
 def _limit_address_space() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 

@@ -11,16 +11,16 @@ from convfec.decoder import (
     TRACEBACK,
     ActivityReport,
     _acs_kernel,
+    _register_exchange,
     _sentinel,
     decode_frame,
     decode_frame_register_exchange,
     decode_frames,
-    output_map,
     stream_decode,
     traceback,
 )
 from convfec.encoder import encode_frame, encode_frames
-from convfec.trellis import CodeSpec, build_trellis
+from convfec.trellis import DEFAULT_SPEC, CodeSpec, build_trellis
 
 
 def _noisy_frames(trellis, n, ebno_db, seed):
@@ -63,24 +63,35 @@ def test_traceback_requires_complete_frame(default_trellis):
         traceback(words, default_trellis, 1)
 
 
+@pytest.mark.parametrize("shape, frames", [
+    ((40, 32, 1), 1),  # 32-state words on the 64-state trellis
+    ((40, 64, 1), 9),  # frame 8 would read the next state's byte
+    ((39, 64, 1), 1),
+])
+def test_traceback_rejects_wrong_word_shape(default_trellis, shape, frames):
+    with pytest.raises(ValueError, match="complete frame"):
+        traceback(np.zeros(shape, dtype=np.uint8), default_trellis, frames)
+
+
 def test_traceback_upper_branch_rule(default_trellis):
     # from state 0: bit set at 0 leads to 0>>1 + 32 = 32, then lower to 16,
-    # then bit set at 16 leads to 16>>1 + 32 = 40
+    # then bit set at 16 leads to 16>>1 + 32 = 40, then 20, 10, 5, 2, 1, 0:
+    # the odd states 5 and 1 are the states after stages 33 and 31
     words = np.zeros((40, 64, 1), dtype=np.uint8)
     words[39, 0, 0] = words[37, 16, 0] = 1
-    assert traceback(words, default_trellis, 1)[0, :4].tolist() == [0, 32, 16, 40]
+    assert np.flatnonzero(traceback(words, default_trellis, 1)[0]).tolist() == [31, 33]
 
 
 def test_traceback_lower_branch_rule(default_trellis):
-    # a clear bit at state 32 leads to 32>>1 = 16
+    # a clear bit at state 32 leads to 32>>1 = 16, then 8, 4, 2, 1 after stage 33
     words = np.zeros((40, 64, 1), dtype=np.uint8)
     words[39, 0, 0] = 1
-    assert traceback(words, default_trellis, 1)[0, :3].tolist() == [0, 32, 16]
+    assert np.flatnonzero(traceback(words, default_trellis, 1)[0]).tolist() == [33]
 
 
 def test_traceback_all_zero_memory(default_trellis):
     words = np.zeros((40, 64, 1), dtype=np.uint8)
-    assert traceback(words, default_trellis, 1)[0].tolist() == [0] * 41
+    assert traceback(words, default_trellis, 1)[0].tolist() == [0] * 40
 
 
 def test_traceback_reads_each_frames_own_bit(default_trellis):
@@ -88,20 +99,27 @@ def test_traceback_reads_each_frames_own_bit(default_trellis):
     words = np.zeros((40, 64, 2), dtype=np.uint8)
     words[39, 0, 1] = 0b11  # frames 8 and 9
     words[37, 16, 1] = 1 << 1  # frame 9 only
-    paths = traceback(words, default_trellis, 10)
-    assert paths[9, :4].tolist() == [0, 32, 16, 40]
-    assert paths[8, :4].tolist() == [0, 32, 16, 8]
-    assert paths[7, :4].tolist() == [0, 0, 0, 0]
+    bits = traceback(words, default_trellis, 10)
+    assert bits.shape == (10, 40) and bits.dtype == np.uint8
+    assert np.flatnonzero(bits[9]).tolist() == [31, 33]
+    assert np.flatnonzero(bits[8]).tolist() == [33]
+    assert np.flatnonzero(bits[7]).tolist() == []
 
 
-def test_output_map_state_parity():
-    # newest-first path: state 5 entered at stage 1 decodes bit 0 to 1,
-    # state 6 entered at stage 2 decodes bit 1 to 0
-    assert output_map([6, 5, 0]).tolist() == [1, 0]
-
-
-def test_output_map_zero_path():
-    assert output_map([0] * 41).tolist() == [0] * 40
+@pytest.mark.parametrize("spec", [
+    CodeSpec.from_octal("7,5", constraint_length=3, frame_stages=5),
+    CodeSpec.from_octal("23,35", constraint_length=5, frame_stages=14),
+    DEFAULT_SPEC,
+    CodeSpec.from_octal("561,753", constraint_length=9, frame_stages=20),
+], ids=["k3", "k5", "default", "k9"])
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 300])
+def test_survivor_memories_agree_on_arbitrary_words(spec, n):
+    # any stage words, not only the kernel's: both memories walk the same
+    # survivor choices, and neither reads the padding bits of a last byte
+    trellis = build_trellis(spec)
+    rng = np.random.default_rng(n * 31 + spec.constraint_length)
+    words = rng.integers(0, 256, (spec.frame_stages, spec.num_states, -(-n // 8)), dtype=np.uint8)
+    assert np.array_equal(traceback(words, trellis, n), _register_exchange(words, trellis, n))
 
 
 def test_decode_clean_roundtrip(default_trellis):

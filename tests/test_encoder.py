@@ -33,6 +33,11 @@ def test_coded_length_is_twice_frame_stages(default_trellis):
 def test_wrong_payload_length_rejected(default_trellis):
     with pytest.raises(ValueError, match="34 bits"):
         encode_frame([0] * 33, default_trellis)
+    # the message names the shape: a 2-D payload can hold 34 bits in the wrong shape
+    with pytest.raises(ValueError, match=r"^payload must be 34 bits, got shape \(1, 34\)$"):
+        encode_frame(np.zeros((1, 34)), default_trellis)
+    with pytest.raises(ValueError, match=r"^payload must be 34 bits, got shape \(34, 1\)$"):
+        encode_frame(np.zeros((34, 1)), default_trellis)
 
 
 def test_non_bit_payload_rejected(default_trellis):

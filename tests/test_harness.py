@@ -53,6 +53,8 @@ def test_sweep_config_validation():
         SweepConfig((4.0,), min_info_bits=1, max_info_bits=5, stop_at_errors=-2, seed=0)
     with pytest.raises(ValueError, match="Eb/N0 of 4000.0 dB"):  # every point, at construction
         SweepConfig((4.0, 4000.0), min_info_bits=1, max_info_bits=5, stop_at_errors=0, seed=0)
+    with pytest.raises(ValueError, match=r"^seed must be nonnegative, got -1$"):
+        SweepConfig((4.0,), min_info_bits=1, max_info_bits=5, stop_at_errors=0, seed=-1)
 
 
 def test_noiseless_run_has_zero_errors():
