@@ -3,7 +3,9 @@ bit-flip injector for reproducing fixed error patterns.
 
 Energy convention: Eb is per information bit, so the per-sample noise
 variance is ``1 / (2 * code_rate * 10^(ebno_db/10))``.  Rate 1/2 for coded
-streams, rate 1 for uncoded BPSK.
+streams, rate 1 for uncoded BPSK.  The Monte-Carlo runner draws the noise
+once and compares it against the +-1 thresholds; ``bpsk_modulate``,
+``add_awgn`` and ``hard_quantize`` are the reference for that step.
 """
 
 from __future__ import annotations
@@ -88,6 +90,18 @@ def hard_quantize(symbols: np.ndarray) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError("hard_quantize needs finite samples, got NaN or infinity")
     return (arr < 0.0).astype(np.uint8)
+
+
+def _bpsk_awgn_hard(bits: np.ndarray, cfg: NoiseConfig, rng: np.random.Generator) -> np.ndarray:
+    """``hard_quantize(add_awgn(bpsk_modulate(bits.ravel()), cfg, rng))`` shaped
+    like 0/1 uint8 ``bits``, from the same draws and with no float symbols:
+    ``fl(+-1 + x) < 0`` exactly when ``x < -+1`` (rounding is monotone and a
+    nonzero sum never rounds to 0), so an exact 0.0 sum still gives bit 0."""
+    noise = rng.standard_normal(bits.shape)
+    noise *= cfg.noise_sigma
+    if not np.isfinite(noise).all():
+        raise ValueError("hard_quantize needs finite samples, got NaN or infinity")
+    return ((noise < 1.0) & ((noise < -1.0) | bits.view(bool))).view(np.uint8)
 
 
 def inject_errors(bits: np.ndarray, positions: Iterable[int]) -> np.ndarray:

@@ -31,7 +31,7 @@ def encode_frames(payloads: np.ndarray, trellis: Trellis) -> np.ndarray:
 
     Returns the coded frames as a ``(n, 2 * frame_stages)`` uint8 array.
     Every stage's K-bit register is built at once from K shifted copies of
-    the inputs, and one ``symbol_table`` gather gives every branch symbol.
+    the inputs, and one gather from a bit-pair table gives every coded bit.
     """
     spec = trellis.spec
     bits = bit_rows(payloads, spec.payload_length, "payloads")
@@ -50,8 +50,5 @@ def encode_frames(payloads: np.ndarray, trellis: Trellis) -> np.ndarray:
             f"zero tail left the encoder in state {int(state[stuck[0]])}, not 0"
         )
 
-    syms = trellis.symbol_table[reg]
-    coded = np.empty((n, 2 * stages), dtype=np.uint8)
-    coded[:, 0::2] = syms >> 1
-    coded[:, 1::2] = syms & 1
-    return coded
+    table = trellis.symbol_table
+    return np.stack([table >> 1, table & 1], axis=1).take(reg, axis=0).reshape(n, 2 * stages)

@@ -20,7 +20,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .channel import NoiseConfig, add_awgn, bpsk_modulate, ebno_ratio, hard_quantize
+from .channel import NoiseConfig, _bpsk_awgn_hard, ebno_ratio
 from .decoder import REGISTER_EXCHANGE, TRACEBACK, ActivityReport, decode_frames
 from .encoder import encode_frames
 from .trellis import DEFAULT_SPEC, CodeSpec, build_trellis
@@ -108,8 +108,7 @@ def _run_point(
         n = max(1, min(_BATCH_FRAMES, remaining))
         payloads = rng.integers(0, 2, size=(n, block), dtype=np.uint8)
         sent = transmit(payloads)
-        # BPSK, AWGN and the hard slicer, shape kept
-        received = hard_quantize(add_awgn(bpsk_modulate(sent.ravel()), noise, rng)).reshape(sent.shape)
+        received = _bpsk_awgn_hard(sent, noise, rng)
         wrong = receive(received) != payloads
         info_bits += n * block
         bit_errors += int(np.count_nonzero(wrong))

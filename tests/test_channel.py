@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from convfec.channel import (
     NoiseConfig,
+    _bpsk_awgn_hard,
     add_awgn,
     bpsk_modulate,
     hard_quantize,
@@ -78,6 +80,49 @@ def test_hard_decision_flip_probability_matches_q():
     p = gaussian_tail(math.sqrt(2 * rate * 10 ** (ebno_db / 10)))
     se = math.sqrt(p * (1 - p) / n)
     assert abs(p_hat - p) <= 3 * se
+
+
+@pytest.mark.parametrize("rate", [0.5, 1.0])
+@pytest.mark.parametrize("ebno_db", [-20.0, -6.0, 0.0, 2.5, 7.0, 20.0, 60.0])
+def test_one_draw_channel_equals_three_call_chain(ebno_db, rate):
+    cfg = NoiseConfig(ebno_db, code_rate=rate)
+    for seed, shape in enumerate([(0, 80), (1, 34), (7, 80), (2048, 80), (1000,)]):
+        bits = np.random.default_rng(100 + seed).integers(0, 2, size=shape, dtype=np.uint8)
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        fast = _bpsk_awgn_hard(bits, cfg, rng_a)
+        chain = hard_quantize(add_awgn(bpsk_modulate(bits.ravel()), cfg, rng_b)).reshape(shape)
+        assert fast.dtype == np.uint8 and fast.shape == shape
+        assert np.array_equal(fast, chain)
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state  # same draws
+
+
+class _FixedNormal:
+    """A generator stub whose ``standard_normal`` returns chosen samples."""
+
+    def __init__(self, samples):
+        self.samples = np.array(samples, dtype=np.float64)
+
+    def standard_normal(self, shape):
+        return self.samples.reshape(shape).copy()
+
+
+def test_one_draw_channel_threshold_ties():
+    below, above = np.nextafter(-1.0, -2.0), np.nextafter(1.0, 2.0)
+    inside_low, inside_high = np.nextafter(-1.0, 0.0), np.nextafter(1.0, 0.0)
+    bits = np.array([0, 1, 0, 1, 0, 1], dtype=np.uint8)
+    noise = [-1.0, 1.0, below, above, inside_low, inside_high]
+    got = _bpsk_awgn_hard(bits, SimpleNamespace(noise_sigma=1.0), _FixedNormal(noise))
+    # a sum of exactly 0.0 is bit 0 on either side; one ulp past the threshold flips
+    assert got.tolist() == [0, 0, 1, 0, 0, 1]
+    assert got.tolist() == hard_quantize(bpsk_modulate(bits) + np.array(noise)).tolist()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_one_draw_channel_rejects_non_finite_noise(bad):
+    bits = np.zeros(3, dtype=np.uint8)
+    stub = _FixedNormal([0.1, bad, -0.2])
+    with pytest.raises(ValueError, match="hard_quantize needs finite samples"):
+        _bpsk_awgn_hard(bits, SimpleNamespace(noise_sigma=1.0), stub)
 
 
 def test_inject_empty_set_is_identity():
