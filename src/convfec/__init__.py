@@ -8,7 +8,7 @@ codes, and a Monte-Carlo BER harness.
 """
 
 from .trellis import CodeSpec, Trellis, DEFAULT_SPEC, build_trellis, free_distance
-from .encoder import encode_frame, encode_frames
+from .encoder import encode_frames
 from .channel import (
     NoiseConfig,
     add_awgn,
@@ -20,15 +20,12 @@ from .decoder import (
     REGISTER_EXCHANGE,
     TRACEBACK,
     ActivityReport,
-    DecodeResult,
     StreamedFrame,
-    decode_frame,
-    decode_frame_register_exchange,
     decode_frames,
     stream_decode,
     traceback,
 )
-from .oracle import MAX_PAYLOAD_BITS, MlResult, ml_decode
+from .oracle import MAX_PAYLOAD_BITS, MlResult, ml_decode_frames
 from .harness import (
     BerPoint,
     PowerCompareResult,
@@ -45,7 +42,6 @@ __all__ = [
     "BerPoint",
     "CodeSpec",
     "DEFAULT_SPEC",
-    "DecodeResult",
     "MAX_PAYLOAD_BITS",
     "MlResult",
     "NoiseConfig",
@@ -59,15 +55,12 @@ __all__ = [
     "ber_sweep",
     "bpsk_modulate",
     "build_trellis",
-    "decode_frame",
-    "decode_frame_register_exchange",
     "decode_frames",
-    "encode_frame",
     "encode_frames",
     "free_distance",
     "hard_quantize",
     "inject_errors",
-    "ml_decode",
+    "ml_decode_frames",
     "power_compare",
     "stream_decode",
     "theoretical_uncoded_ber",

@@ -149,7 +149,7 @@ def _read_frames(path: str, expected_len: int, what: str) -> np.ndarray:
     if path == "-":
         return _parse_lines(sys.stdin, expected_len, what)
     try:
-        # as on stdin, a non-ASCII byte reaches the parser's line-numbered diagnostic
+        # as on stdin (see main), a non-ASCII byte reaches the parser's line-numbered diagnostic
         with open(path, "r", encoding="ascii", errors="surrogateescape") as fp:
             return _parse_lines(fp, expected_len, what)
     except OSError as exc:
@@ -368,4 +368,6 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
+    if sys.stdin:  # decoded as files are, so a bad byte gets the line-numbered diagnostic
+        sys.stdin.reconfigure(encoding="ascii", errors="surrogateescape")
     sys.exit(run())

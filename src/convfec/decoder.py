@@ -3,12 +3,13 @@
 The kernel writes one stage word per stage and frame, once: bit ``s`` is 1 when
 state ``s``'s survivor came via its upper branch (ties keep the lower one).  Trace-back
 and register exchange both map the words to decoded bits; they differ only in activity
-cost.  Trace-back writes each stage's bit, the LSB of the state it walks through."""
+cost.  Trace-back writes each stage's bit, the LSB of the state it walks through.
+:func:`decode_frames` is the one entry point; one frame is a ``(1, 2L)`` array."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -50,12 +51,6 @@ class ActivityReport:
         if scheme == REGISTER_EXCHANGE:
             return cls(scheme, s * l * (l + 1) // 2 * frames, s * l * frames, 0)
         raise ValueError(f"unknown survivor scheme {scheme!r}")
-
-
-class DecodeResult(NamedTuple):
-    decoded: list[int]
-    final_metric: int
-    activity: ActivityReport
 
 
 def _acs_kernel(rsym: np.ndarray, trellis: Trellis) -> tuple[np.ndarray, np.ndarray]:
@@ -135,8 +130,9 @@ def decode_frames(coded: np.ndarray, trellis: Trellis,
                   scheme: str = TRACEBACK) -> tuple[np.ndarray, np.ndarray]:
     """Decode ``(n, 2 * L)`` coded frames to ``(decoded (n, L), final_metrics (n,))``.
 
-    The zero tail pins trace-back to state 0.  A decoded frame is payload plus
-    tail; its metric is the Hamming distance from the input to its re-encoding.
+    ``scheme`` picks the survivor memory; both give identical output.  The zero
+    tail pins trace-back to state 0.  A decoded frame is payload plus tail; its
+    metric is the Hamming distance from the input to its re-encoding.
     """
     spec = trellis.spec
     arr = bit_rows(coded, 2 * spec.frame_stages, "coded frames")
@@ -153,25 +149,6 @@ def decode_frames(coded: np.ndarray, trellis: Trellis,
         decoded[block] = memory(words, trellis, metric.shape[1])
     _check_terminal(final_metrics, spec.frame_stages)
     return decoded, final_metrics
-
-
-def _decode_one(coded: Sequence[int], trellis: Trellis, scheme: str) -> DecodeResult:
-    raw, expect = np.asarray(coded), 2 * trellis.spec.frame_stages
-    if raw.ndim != 1 or raw.size != expect:
-        raise ValueError(f"coded frame must be {expect} bits, got shape {raw.shape}")
-    decoded, metrics = decode_frames(raw[np.newaxis], trellis, scheme)
-    return DecodeResult(decoded[0].tolist(), int(metrics[0]),
-                        ActivityReport.for_frames(trellis.spec, scheme, 1))
-
-
-def decode_frame(coded: Sequence[int], trellis: Trellis) -> DecodeResult:
-    """Decode one frame with trace-back survivor storage."""
-    return _decode_one(coded, trellis, TRACEBACK)
-
-
-def decode_frame_register_exchange(coded: Sequence[int], trellis: Trellis) -> DecodeResult:
-    """Decode one frame with register-exchange survivor storage."""
-    return _decode_one(coded, trellis, REGISTER_EXCHANGE)
 
 
 @dataclass(frozen=True)

@@ -6,30 +6,18 @@ frame in state 0 and frames encode independently.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from .trellis import Trellis, bit_rows
 
 
-def encode_frame(payload: Sequence[int], trellis: Trellis) -> list[int]:
-    """Encode one payload into a coded frame of ``2 * frame_stages`` bits.
-
-    The payload must be exactly ``payload_length`` bits; the K-1 zero tail
-    is appended here.  Output bit order per stage: first generator's bit,
-    then the second generator's bit.  A one-frame :func:`encode_frames`.
-    """
-    raw, expect = np.asarray(payload), trellis.spec.payload_length
-    if raw.ndim != 1 or raw.size != expect:
-        raise ValueError(f"payload must be {expect} bits, got shape {raw.shape}")
-    return encode_frames(raw[np.newaxis], trellis)[0].tolist()
-
-
 def encode_frames(payloads: np.ndarray, trellis: Trellis) -> np.ndarray:
-    """Encode a ``(n, payload_length)`` array of payloads, one frame per row.
+    """Encode a ``(n, payload_length)`` array of payloads, one frame per row;
+    one frame is a ``(1, payload_length)`` array.
 
-    Returns the coded frames as a ``(n, 2 * frame_stages)`` uint8 array.
+    Returns the coded frames as a ``(n, 2 * frame_stages)`` uint8 array, the
+    K-1 zero tail included.  Bit order per stage: first generator's bit, then
+    the second generator's.
     Every stage's K-bit register is built at once from K shifted copies of
     the inputs, and one gather from a bit-pair table gives every coded bit.
     """

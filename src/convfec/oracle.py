@@ -6,9 +6,7 @@ as ground truth for the trellis decoder.  Guarded to 24 payload bits.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -17,9 +15,8 @@ from .trellis import CodeSpec, bit_rows, build_trellis
 
 MAX_PAYLOAD_BITS = 24
 
-# codebooks are enumerated in blocks of up to 2^16 codewords, a few cached at a time
+# codebooks are enumerated in blocks of up to 2^16 codewords, each once per call
 _BLOCK_BITS = 16
-_CACHED_BLOCKS = 4
 
 
 @dataclass(frozen=True)
@@ -43,21 +40,19 @@ def _payload_matrix(spec: CodeSpec, start: int, count: int) -> np.ndarray:
     return ((indices[:, np.newaxis] >> shifts) & 1).astype(np.uint8)
 
 
-@functools.lru_cache(maxsize=_CACHED_BLOCKS)
 def _codebook(spec: CodeSpec, start: int) -> np.ndarray:
     """Codewords of the payloads ``start, start + 1, ...``, up to 2^16 of them."""
     count = min(1 << _BLOCK_BITS, (1 << spec.payload_length) - start)
-    book = encode_frames(_payload_matrix(spec, start, count), build_trellis(spec))
-    book.setflags(write=False)
-    return book
+    return encode_frames(_payload_matrix(spec, start, count), build_trellis(spec))
 
 
 def ml_decode_frames(received: np.ndarray, spec: CodeSpec) -> list[MlResult]:
     """Decode ``(n, 2 * L)`` received words by comparing each against every codeword.
 
-    Enumerates all ``2^payload_length`` payloads once for the whole batch and
-    returns, per word, the codeword at minimum Hamming distance.  Refuses
-    payloads beyond :data:`MAX_PAYLOAD_BITS` since the enumeration doubles per bit.
+    Enumerates all ``2^payload_length`` payloads once for the whole batch (one
+    word is a ``(1, 2 * L)`` array) and returns, per word, the codeword at minimum
+    Hamming distance.  Refuses payloads beyond :data:`MAX_PAYLOAD_BITS`, since the
+    enumeration doubles per bit.
     """
     p = spec.payload_length
     if p > MAX_PAYLOAD_BITS:
@@ -82,12 +77,3 @@ def ml_decode_frames(received: np.ndarray, spec: CodeSpec) -> list[MlResult]:
         MlResult(tuple((index >> (p - 1 - j)) & 1 for j in range(p)), dist, c == 1, c)
         for index, dist, c in zip(best_index, best, count)
     ]
-
-
-def ml_decode(received: Sequence[int], spec: CodeSpec) -> MlResult:
-    """Decode one word by comparing it against every codeword: the one-word
-    case of :func:`ml_decode_frames`."""
-    raw = np.asarray(received)
-    if raw.ndim != 1 or raw.size != 2 * spec.frame_stages:
-        raise ValueError(f"received word must be {2 * spec.frame_stages} bits, got shape {raw.shape}")
-    return ml_decode_frames(raw[np.newaxis], spec)[0]

@@ -14,13 +14,15 @@ import numpy as np
 
 from convfec.channel import NoiseConfig, add_awgn, bpsk_modulate, hard_quantize, inject_errors
 from convfec.decoder import (
-    decode_frame,
-    decode_frame_register_exchange,
+    REGISTER_EXCHANGE,
+    TRACEBACK,
+    ActivityReport,
+    decode_frames,
     stream_decode,
 )
-from convfec.encoder import encode_frame, encode_frames
+from convfec.encoder import encode_frames
 from convfec.harness import SweepConfig, ber_sweep, power_compare, theoretical_uncoded_ber
-from convfec.oracle import ml_decode
+from convfec.oracle import ml_decode_frames
 from convfec.trellis import DEFAULT_SPEC, CodeSpec, build_trellis, free_distance
 
 from reference import low_weight_codewords, min_codeword_weight_upto
@@ -33,18 +35,19 @@ def _report(criterion: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {criterion}: {detail}"
 
 
+def _wrong_rows(decoded: np.ndarray, payloads: np.ndarray) -> np.ndarray:
+    """Rows whose decoded bits are not the payload plus a zero tail."""
+    tail = np.zeros((len(payloads), decoded.shape[1] - payloads.shape[1]), dtype=np.uint8)
+    return (decoded != np.hstack([payloads, tail])).any(axis=1)
+
+
 def test_criterion_01_clean_round_trip(default_trellis):
     rng = np.random.default_rng(1001)
     n = 10_000
     start = time.perf_counter()
-    failures = 0
-    for row in rng.integers(0, 2, size=(n, 34), dtype=np.uint8):
-        payload = [int(b) for b in row]
-        decoded, metric, _ = decode_frame(
-            encode_frame(payload, default_trellis), default_trellis
-        )
-        if decoded != payload + [0] * 6 or metric != 0:
-            failures += 1
+    payloads = rng.integers(0, 2, size=(n, 34), dtype=np.uint8)
+    decoded, metrics = decode_frames(encode_frames(payloads, default_trellis), default_trellis)
+    failures = int(np.count_nonzero(_wrong_rows(decoded, payloads) | (metrics != 0)))
     elapsed = time.perf_counter() - start
     _report(
         1,
@@ -68,15 +71,15 @@ def test_criterion_02_free_distance():
 def test_criterion_03_guaranteed_correction(default_trellis):
     rng = np.random.default_rng(1003)
     n = 10_000
-    failures = 0
-    for _ in range(n):
-        payload = [int(b) for b in rng.integers(0, 2, size=34)]
-        coded = encode_frame(payload, default_trellis)
+    payloads = np.empty((n, 34), dtype=np.uint8)
+    errors = np.zeros((n, 80), dtype=np.uint8)
+    for i in range(n):
+        payloads[i] = rng.integers(0, 2, size=34)
         weight = int(rng.integers(1, 5))
-        positions = {int(p) for p in rng.choice(80, size=weight, replace=False)}
-        decoded, _, _ = decode_frame(inject_errors(coded, positions), default_trellis)
-        if decoded != payload + [0] * 6:
-            failures += 1
+        errors[i, rng.choice(80, size=weight, replace=False)] = 1
+    received = encode_frames(payloads, default_trellis) ^ errors
+    decoded, _ = decode_frames(received, default_trellis)
+    failures = int(np.count_nonzero(_wrong_rows(decoded, payloads)))
     _report(
         3,
         failures == 0,
@@ -97,17 +100,15 @@ def test_criterion_04_seven_error_pattern(default_trellis):
     min_rival = min(w + 7 - 2 * len(pattern & set(sup)) for w, sup in rivals)
     unique = min_rival > 7
 
-    zero_coded = encode_frame([0] * 34, default_trellis)
-    decoded, metric, _ = decode_frame(
-        inject_errors(zero_coded, pattern), default_trellis
-    )
-    zero_ok = decoded == [0] * 40 and metric == 7
+    zero_coded = encode_frames(np.zeros((1, 34), dtype=np.uint8), default_trellis)
+    decoded, metric = decode_frames(inject_errors(zero_coded, pattern), default_trellis)
+    zero_ok = decoded.tolist() == [[0] * 40] and metric.tolist() == [7]
 
     rng = np.random.default_rng(1004)
-    payload = [int(b) for b in rng.integers(0, 2, size=34)]
-    coded = encode_frame(payload, default_trellis)
-    decoded2, metric2, _ = decode_frame(inject_errors(coded, pattern), default_trellis)
-    frame_ok = decoded2 == payload + [0] * 6 and metric2 == 7
+    payload = rng.integers(0, 2, size=34)[np.newaxis]
+    coded = encode_frames(payload, default_trellis)
+    decoded2, metric2 = decode_frames(inject_errors(coded, pattern), default_trellis)
+    frame_ok = not _wrong_rows(decoded2, payload).any() and metric2.tolist() == [7]
 
     _report(
         4,
@@ -131,14 +132,15 @@ def test_criterion_05_oracle_equivalence():
     for spec in specs:
         trellis = build_trellis(spec)
         rng = np.random.default_rng(1005 + spec.constraint_length)
-        for _ in range(words_per_spec):
-            word = rng.integers(0, 2, size=2 * spec.frame_stages, dtype=np.uint8)
-            truth = ml_decode(word, spec)
-            decoded, metric, _ = decode_frame(word, trellis)
+        words = np.array([rng.integers(0, 2, size=2 * spec.frame_stages, dtype=np.uint8)
+                          for _ in range(words_per_spec)])
+        decoded, metrics = decode_frames(words, trellis)
+        truths = ml_decode_frames(words, spec)
+        for truth, bits, metric in zip(truths, decoded.tolist(), metrics.tolist()):
             if metric != truth.best_distance:
                 metric_mismatches += 1
             if truth.minimizer_unique and (
-                tuple(decoded[: spec.payload_length]) != truth.best_payload
+                tuple(bits[: spec.payload_length]) != truth.best_payload
             ):
                 payload_mismatches += 1
     elapsed = time.perf_counter() - start
@@ -198,9 +200,8 @@ def test_criterion_07_coding_gain_at_6db():
 
 
 def test_criterion_08_switching_activity(default_trellis):
-    coded = encode_frame([0] * 34, default_trellis)
-    tb = decode_frame(coded, default_trellis).activity
-    re = decode_frame_register_exchange(coded, default_trellis).activity
+    tb = ActivityReport.for_frames(default_trellis.spec, TRACEBACK, 1)
+    re = ActivityReport.for_frames(default_trellis.spec, REGISTER_EXCHANGE, 1)
     per_frame_ok = tb.survivor_bit_writes == 2560 and re.survivor_bit_writes == 52480
 
     frames = 5
@@ -236,12 +237,10 @@ def test_criterion_09_survivor_scheme_equivalence(default_trellis):
     received = hard_quantize(
         add_awgn(bpsk_modulate(coded.ravel()), noise, rng)
     ).reshape(coded.shape)
-    mismatches = 0
-    for row in received:
-        tb = decode_frame(row, default_trellis)
-        re = decode_frame_register_exchange(row, default_trellis)
-        if tb.decoded != re.decoded or tb.final_metric != re.final_metric:
-            mismatches += 1
+    tb_bits, tb_metrics = decode_frames(received, default_trellis, TRACEBACK)
+    re_bits, re_metrics = decode_frames(received, default_trellis, REGISTER_EXCHANGE)
+    differ = (tb_bits != re_bits).any(axis=1) | (tb_metrics != re_metrics)
+    mismatches = int(np.count_nonzero(differ))
     elapsed = time.perf_counter() - start
     _report(
         9,
@@ -253,10 +252,8 @@ def test_criterion_09_survivor_scheme_equivalence(default_trellis):
 
 def test_criterion_10_streaming_latency(default_trellis):
     rng = np.random.default_rng(1010)
-    frames = [
-        encode_frame([int(b) for b in rng.integers(0, 2, size=34)], default_trellis)
-        for _ in range(12)
-    ]
+    payloads = [rng.integers(0, 2, size=34) for _ in range(12)]
+    frames = encode_frames(payloads, default_trellis).tolist()
     out = stream_decode(frames, default_trellis)
     ok = len(out) == len(frames)
     for i, item in enumerate(out):
@@ -264,7 +261,7 @@ def test_criterion_10_streaming_latency(default_trellis):
         ok = ok and item.index == i
         ok = ok and item.available_at_clock - first_possible == 40
         ok = ok and item.latency_clocks == 40
-        ok = ok and item.decoded == decode_frame(frames[i], default_trellis).decoded
+        ok = ok and item.decoded == decode_frames([frames[i]], default_trellis)[0][0].tolist()
     _report(
         10,
         ok,

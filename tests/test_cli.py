@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convfec.cli import CliError, _parse_ebno, _parse_lines, run
-from convfec.oracle import _codebook, ml_decode
+from convfec import oracle
 from convfec.trellis import CodeSpec
 
 from reference import reference_parse_lines
@@ -238,17 +238,23 @@ def test_oracle_decode_small_code(tmp_path):
     assert out.read_text() == "101\n"
 
 
-def test_oracle_decode_enumerates_each_block_once(tmp_path):
-    # p = 19 payload bits: 8 blocks of 2^16 codewords, more than the cache holds
+def test_oracle_decode_enumerates_each_block_once(tmp_path, monkeypatch):
+    # p = 19 payload bits: 8 blocks of 2^16 codewords, each built once for all 3 lines
     spec = CodeSpec.from_octal("7,5", constraint_length=3, frame_stages=21)
     words = np.random.default_rng(44).integers(0, 2, size=(3, 42), dtype=np.uint8)
     coded, out = tmp_path / "c.txt", tmp_path / "o.txt"
     _write(coded, words.tolist())
-    _codebook.cache_clear()
+    built, codebook = [], oracle._codebook
+
+    def counted(spec, start):
+        built.append(start)
+        return codebook(spec, start)
+
+    monkeypatch.setattr(oracle, "_codebook", counted)
     assert run(["-K", "3", "--generators", "7,5", "-L", "21",
                 "oracle-decode", "-i", str(coded), "-o", str(out)]) == 0
-    assert _codebook.cache_info().misses == 8
-    assert _read(out) == [list(ml_decode(word, spec).best_payload) for word in words]
+    assert len(built) == 8
+    assert _read(out) == [list(r.best_payload) for r in oracle.ml_decode_frames(words, spec)]
 
 
 def test_oracle_decode_refuses_large_space(tmp_path, capsys):
@@ -447,6 +453,22 @@ def test_power_compare_csv(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[1] == "trace-back,2,5120,5120,80,20.5"
     assert lines[2] == "register-exchange,2,104960,5120,0,20.5"
+
+
+@pytest.mark.parametrize("encoding", ["utf-8:strict", "latin-1"])
+def test_non_ascii_byte_gets_the_same_diagnostic_on_stdin_and_from_a_file(tmp_path, encoding):
+    # stdin is decoded as a file is, whatever the locale: a bad byte is a line-numbered error
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"0\xff11110000\n")
+    argv = [sys.executable, "-m", "convfec", "-K", "3", "--generators", "7,5", "-L", "5",
+            "inject-errors", "--positions", "0"]
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONIOENCODING": encoding}
+    want = "convfec: error: line 1: invalid character '\\udcff' (frames are lines of '0'/'1')\n"
+    for extra, stdin in (([], bad.read_bytes()), (["-i", str(bad)], b"")):
+        result = subprocess.run(argv + extra, input=stdin, capture_output=True, env=env)
+        assert result.returncode == 1
+        assert result.stdout == b""
+        assert result.stderr.decode("ascii") == want
 
 
 def test_stdin_stdout_pipes(monkeypatch, capsys):

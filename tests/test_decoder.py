@@ -13,13 +13,11 @@ from convfec.decoder import (
     _acs_kernel,
     _register_exchange,
     _sentinel,
-    decode_frame,
-    decode_frame_register_exchange,
     decode_frames,
     stream_decode,
     traceback,
 )
-from convfec.encoder import encode_frame, encode_frames
+from convfec.encoder import encode_frames
 from convfec.trellis import DEFAULT_SPEC, CodeSpec, build_trellis
 
 
@@ -124,46 +122,42 @@ def test_survivor_memories_agree_on_arbitrary_words(spec, n):
 
 def test_decode_clean_roundtrip(default_trellis):
     rng = random.Random(21)
-    for _ in range(25):
-        payload = [rng.randrange(2) for _ in range(34)]
-        coded = encode_frame(payload, default_trellis)
-        decoded, metric, activity = decode_frame(coded, default_trellis)
-        assert decoded == payload + [0] * 6
-        assert metric == 0
-        assert activity.scheme == TRACEBACK
+    payloads = np.array([[rng.randrange(2) for _ in range(34)] for _ in range(25)])
+    decoded, metrics = decode_frames(encode_frames(payloads, default_trellis), default_trellis)
+    assert np.array_equal(decoded[:, :34], payloads) and not decoded[:, 34:].any()
+    assert not metrics.any()
 
 
 def test_decode_k3_frame(k3_trellis):
-    decoded, metric, _ = decode_frame([1, 1, 1, 0, 0, 0, 1, 0, 1, 1], k3_trellis)
-    assert decoded == [1, 0, 1, 0, 0]
-    assert metric == 0
+    decoded, metrics = decode_frames(np.array([[1, 1, 1, 0, 0, 0, 1, 0, 1, 1]]), k3_trellis)
+    assert decoded.tolist() == [[1, 0, 1, 0, 0]]
+    assert metrics.tolist() == [0]
 
 
 def test_decode_rejects_bad_frames(default_trellis):
-    with pytest.raises(ValueError, match="80 bits"):
-        decode_frame([0] * 79, default_trellis)
+    with pytest.raises(ValueError, match=r"\(n, 80\)"):
+        decode_frames([[0] * 79], default_trellis)
     with pytest.raises(ValueError, match="0/1"):
-        decode_frame([0] * 79 + [3], default_trellis)
+        decode_frames([[0] * 79 + [3]], default_trellis)
     # values that an unchecked uint8 cast would silently wrap or truncate
     with pytest.raises(ValueError, match="0/1"):
-        decode_frame([0] * 79 + [256], default_trellis)
+        decode_frames([[0] * 79 + [256]], default_trellis)
     with pytest.raises(ValueError, match="0/1"):
-        decode_frame([0.5] * 80, default_trellis)
-    # the message names the shape: a 2-D frame has 80 bits but the wrong shape
-    with pytest.raises(ValueError, match=r"must be 80 bits, got shape \(1, 80\)$"):
-        decode_frame(np.zeros((1, 80)), default_trellis)
-    with pytest.raises(ValueError, match=r"must be 80 bits, got shape \(81,\)$"):
-        decode_frame([0] * 81, default_trellis)
+        decode_frames([[0.5] * 80], default_trellis)
+    # the message names the shape: a 1-D frame has 80 bits but the wrong shape
+    with pytest.raises(ValueError, match=r"must have shape \(n, 80\), got \(80,\)$"):
+        decode_frames(np.zeros(80), default_trellis)
+    with pytest.raises(ValueError, match=r"must have shape \(n, 80\), got \(1, 81\)$"):
+        decode_frames([[0] * 81], default_trellis)
 
 
 def test_final_metric_is_distance_to_reencoded_decision(default_trellis):
     _, received = _noisy_frames(default_trellis, 60, ebno_db=2.0, seed=4)
-    for row in received:
-        decoded, metric, _ = decode_frame(row, default_trellis)
-        recoded = encode_frame(decoded[:34], default_trellis)
-        assert metric == sum(a != b for a, b in zip(recoded, row))
-        # the zero tail always decodes to zeros
-        assert decoded[34:] == [0] * 6
+    decoded, metrics = decode_frames(received, default_trellis)
+    recoded = encode_frames(decoded[:, :34], default_trellis)
+    assert np.array_equal(metrics, np.count_nonzero(recoded != received, axis=1))
+    # the zero tail always decodes to zeros
+    assert not decoded[:, 34:].any()
 
 
 def test_metric_bound_holds_stage_by_stage(default_trellis):
@@ -178,18 +172,15 @@ def test_metric_bound_holds_stage_by_stage(default_trellis):
 
 def test_register_exchange_matches_traceback(default_trellis):
     _, received = _noisy_frames(default_trellis, 80, ebno_db=1.0, seed=17)
-    for row in received:
-        tb = decode_frame(row, default_trellis)
-        re = decode_frame_register_exchange(row, default_trellis)
-        assert re.decoded == tb.decoded
-        assert re.final_metric == tb.final_metric
-        assert re.activity.scheme == REGISTER_EXCHANGE
+    tb_bits, tb_metrics = decode_frames(received, default_trellis)
+    re_bits, re_metrics = decode_frames(received, default_trellis, REGISTER_EXCHANGE)
+    assert np.array_equal(re_bits, tb_bits)
+    assert np.array_equal(re_metrics, tb_metrics)
 
 
 def test_activity_closed_forms(default_trellis):
-    coded = encode_frame([0] * 34, default_trellis)
-    tb = decode_frame(coded, default_trellis).activity
-    re = decode_frame_register_exchange(coded, default_trellis).activity
+    tb = ActivityReport.for_frames(default_trellis.spec, TRACEBACK, 1)
+    re = ActivityReport.for_frames(default_trellis.spec, REGISTER_EXCHANGE, 1)
     assert tb.survivor_bit_writes == 64 * 40 == 2560
     assert re.survivor_bit_writes == 64 * 40 * 41 // 2 == 52480
     assert tb.metric_writes == re.metric_writes == 64 * 40
@@ -198,9 +189,8 @@ def test_activity_closed_forms(default_trellis):
 
 
 def test_activity_closed_forms_small_code(k3_trellis):
-    coded = encode_frame([1, 0, 1], k3_trellis)
-    tb = decode_frame(coded, k3_trellis).activity
-    re = decode_frame_register_exchange(coded, k3_trellis).activity
+    tb = ActivityReport.for_frames(k3_trellis.spec, TRACEBACK, 1)
+    re = ActivityReport.for_frames(k3_trellis.spec, REGISTER_EXCHANGE, 1)
     assert tb.survivor_bit_writes == 4 * 5
     assert re.survivor_bit_writes == 4 * 15
     assert re.survivor_bit_writes / tb.survivor_bit_writes == 3.0
@@ -211,46 +201,25 @@ def test_activity_report_rejects_negative_counts():
         ActivityReport(TRACEBACK, -1, 0, 0)
 
 
-def test_batch_decode_matches_engine(default_trellis):
-    _, received = _noisy_frames(default_trellis, 120, ebno_db=1.5, seed=8)
-    decoded, metrics = decode_frames(received, default_trellis)
-    for i, row in enumerate(received):
-        single = decode_frame(row, default_trellis)
-        assert single.decoded == list(decoded[i])
-        assert single.final_metric == int(metrics[i])
-
-
-def test_batch_decode_matches_engine_on_arbitrary_words(k3_trellis):
-    rng = np.random.default_rng(12)
-    words = rng.integers(0, 2, size=(500, 10), dtype=np.uint8)
-    decoded, metrics = decode_frames(words, k3_trellis)
-    for i, row in enumerate(words):
-        single = decode_frame(row, k3_trellis)
-        assert single.decoded == list(decoded[i])
-        assert single.final_metric == int(metrics[i])
-
-
 def test_batch_decode_rejects_bad_shape(default_trellis):
     with pytest.raises(ValueError):
         decode_frames(np.zeros((3, 79), dtype=np.uint8), default_trellis)
 
 
 def test_stream_decode_single_frame(default_trellis):
-    coded = encode_frame([1] * 34, default_trellis)
-    out = stream_decode([coded], default_trellis)
+    coded = encode_frames(np.ones((1, 34)), default_trellis)
+    out = stream_decode(coded.tolist(), default_trellis)
     assert len(out) == 1
     assert out[0].index == 0
     assert out[0].available_at_clock == 40
     assert out[0].latency_clocks == 40
-    assert out[0].decoded == decode_frame(coded, default_trellis).decoded
+    assert out[0].decoded == decode_frames(coded, default_trellis)[0][0].tolist()
 
 
 def test_stream_decode_ordering_and_latency(default_trellis):
     rng = random.Random(31)
-    frames = [
-        encode_frame([rng.randrange(2) for _ in range(34)], default_trellis)
-        for _ in range(5)
-    ]
+    payloads = [[rng.randrange(2) for _ in range(34)] for _ in range(5)]
+    frames = encode_frames(payloads, default_trellis).tolist()
     out = stream_decode(frames, default_trellis)
     assert [f.index for f in out] == [0, 1, 2, 3, 4]
     for i, f in enumerate(out):
@@ -264,23 +233,23 @@ def test_stream_decode_empty(default_trellis):
 
 
 def test_stream_decode_truncated_final_frame(default_trellis):
-    good = encode_frame([0] * 34, default_trellis)
+    good = encode_frames(np.zeros((1, 34)), default_trellis)[0].tolist()
     with pytest.raises(ValueError, match="truncated final frame"):
         stream_decode([good, good[:13]], default_trellis)
 
 
 def test_stream_decode_bad_interior_frame(default_trellis):
-    good = encode_frame([0] * 34, default_trellis)
+    good = encode_frames(np.zeros((1, 34)), default_trellis)[0].tolist()
     with pytest.raises(ValueError, match="frame 0: expected 80"):
         stream_decode([good[:13], good], default_trellis)
 
 
 def test_seven_error_pattern_corrected(default_trellis):
-    coded = encode_frame([0] * 34, default_trellis)
+    coded = encode_frames(np.zeros((1, 34)), default_trellis)
     noisy = inject_errors(coded, {3, 17, 30, 41, 55, 60, 76})
-    decoded, metric, _ = decode_frame(noisy, default_trellis)
-    assert decoded == [0] * 40
-    assert metric == 7
+    decoded, metrics = decode_frames(noisy, default_trellis)
+    assert decoded.tolist() == [[0] * 40]
+    assert metrics.tolist() == [7]
 
 
 def test_activity_for_frames_scales_and_rejects_unknown_scheme(default_trellis):
@@ -312,12 +281,20 @@ def test_batch_decode_empty(default_trellis):
         assert metrics.shape == (0,)
 
 
-def test_batch_decode_is_independent_of_batch_size(k3_trellis):
-    # more frames than one kernel block, and a count that is not a multiple of 8
-    words = np.random.default_rng(40).integers(0, 2, size=(4100, 10), dtype=np.uint8)
+@pytest.mark.parametrize("piece", [1, 13])  # a piece of 1 is the one-frame decode
+@pytest.mark.parametrize("code", ["k3-arbitrary", "default-noisy"])
+def test_batch_decode_is_independent_of_batch_size(code, piece, k3_trellis, default_trellis):
+    if code == "k3-arbitrary":
+        # more frames than one kernel block, and a count that is not a multiple of 8
+        trellis = k3_trellis
+        words = np.random.default_rng(40).integers(0, 2, size=(4100, 10), dtype=np.uint8)
+    else:
+        trellis = default_trellis
+        words = _noisy_frames(default_trellis, 120, ebno_db=1.5, seed=8)[1]
     for scheme in (TRACEBACK, REGISTER_EXCHANGE):
-        decoded, metrics = decode_frames(words, k3_trellis, scheme)
-        pieces = [decode_frames(words[lo:lo + 13], k3_trellis, scheme) for lo in range(0, 4100, 13)]
+        decoded, metrics = decode_frames(words, trellis, scheme)
+        pieces = [decode_frames(words[lo:lo + piece], trellis, scheme)
+                  for lo in range(0, len(words), piece)]
         assert np.array_equal(decoded, np.concatenate([p[0] for p in pieces]))
         assert np.array_equal(metrics, np.concatenate([p[1] for p in pieces]))
 

@@ -5,64 +5,60 @@ import random
 import numpy as np
 import pytest
 
-from convfec.encoder import encode_frame, encode_frames
+from convfec.encoder import encode_frames
 
 from reference import reference_encode
 
 
 def test_all_zero_payload_emits_zeros(default_trellis):
-    assert encode_frame([0] * 34, default_trellis) == [0] * 80
+    assert encode_frames(np.zeros((1, 34)), default_trellis).tolist() == [[0] * 80]
 
 
 def test_impulse_response_is_interleaved_taps(default_trellis):
-    coded = encode_frame([1] + [0] * 33, default_trellis)
+    coded = encode_frames([[1] + [0] * 33], default_trellis)[0].tolist()
     assert coded[:14] == [1, 1, 1, 0, 1, 1, 1, 1, 0, 0, 0, 1, 1, 1]
     assert coded[14:] == [0] * 66
     assert coded == reference_encode([1] + [0] * 33, default_trellis.spec)
 
 
 def test_k3_hand_walk(k3_trellis):
-    assert encode_frame([1, 0, 1], k3_trellis) == [1, 1, 1, 0, 0, 0, 1, 0, 1, 1]
+    assert encode_frames([[1, 0, 1]], k3_trellis).tolist() == [[1, 1, 1, 0, 0, 0, 1, 0, 1, 1]]
 
 
 def test_coded_length_is_twice_frame_stages(default_trellis):
-    coded = encode_frame([1, 0] * 17, default_trellis)
-    assert len(coded) == 2 * default_trellis.spec.frame_stages
+    coded = encode_frames([[1, 0] * 17], default_trellis)
+    assert coded.shape == (1, 2 * default_trellis.spec.frame_stages)
 
 
 def test_wrong_payload_length_rejected(default_trellis):
-    with pytest.raises(ValueError, match="34 bits"):
-        encode_frame([0] * 33, default_trellis)
-    # the message names the shape: a 2-D payload can hold 34 bits in the wrong shape
-    with pytest.raises(ValueError, match=r"^payload must be 34 bits, got shape \(1, 34\)$"):
-        encode_frame(np.zeros((1, 34)), default_trellis)
-    with pytest.raises(ValueError, match=r"^payload must be 34 bits, got shape \(34, 1\)$"):
-        encode_frame(np.zeros((34, 1)), default_trellis)
+    with pytest.raises(ValueError, match=r"\(n, 34\)"):
+        encode_frames([[0] * 33], default_trellis)
+    # the message names the shape: a payload can hold 34 bits in the wrong shape
+    with pytest.raises(ValueError, match=r"^payloads must have shape \(n, 34\), got \(34,\)$"):
+        encode_frames(np.zeros(34), default_trellis)
+    with pytest.raises(ValueError, match=r"^payloads must have shape \(n, 34\), got \(34, 1\)$"):
+        encode_frames(np.zeros((34, 1)), default_trellis)
 
 
 def test_non_bit_payload_rejected(default_trellis):
     with pytest.raises(ValueError, match="0/1"):
-        encode_frame([0] * 33 + [2], default_trellis)
+        encode_frames([[0] * 33 + [2]], default_trellis)
 
 
 def test_matches_reference_convolution(default_trellis):
     rng = random.Random(101)
-    for _ in range(200):
-        payload = [rng.randrange(2) for _ in range(34)]
-        assert encode_frame(payload, default_trellis) == reference_encode(
-            payload, default_trellis.spec
-        )
+    payloads = [[rng.randrange(2) for _ in range(34)] for _ in range(200)]
+    coded = encode_frames(payloads, default_trellis).tolist()
+    for payload, row in zip(payloads, coded):
+        assert row == reference_encode(payload, default_trellis.spec)
 
 
 def test_linearity(default_trellis):
     rng = random.Random(7)
-    for _ in range(50):
-        a = [rng.randrange(2) for _ in range(34)]
-        b = [rng.randrange(2) for _ in range(34)]
-        ca = encode_frame(a, default_trellis)
-        cb = encode_frame(b, default_trellis)
-        cab = encode_frame([x ^ y for x, y in zip(a, b)], default_trellis)
-        assert cab == [x ^ y for x, y in zip(ca, cb)]
+    pairs = np.array([[[rng.randrange(2) for _ in range(34)] for _ in range(2)] for _ in range(50)])
+    a, b = pairs[:, 0], pairs[:, 1]
+    ca, cb = encode_frames(a, default_trellis), encode_frames(b, default_trellis)
+    assert np.array_equal(encode_frames(a ^ b, default_trellis), ca ^ cb)
 
 
 def test_batch_empty(default_trellis):
@@ -75,8 +71,8 @@ def test_batch_is_elementwise(default_trellis):
     p1 = [rng.randrange(2) for _ in range(34)]
     p2 = [rng.randrange(2) for _ in range(34)]
     assert encode_frames(np.array([p1, p2]), default_trellis).tolist() == [
-        encode_frame(p1, default_trellis),
-        encode_frame(p2, default_trellis),
+        encode_frames([p1], default_trellis)[0].tolist(),
+        encode_frames([p2], default_trellis)[0].tolist(),
     ]
 
 

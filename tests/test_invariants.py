@@ -14,8 +14,6 @@ import pytest
 from convfec.channel import hard_quantize
 from convfec.cli import run
 from convfec.harness import SweepConfig
-from convfec.oracle import _codebook, ml_decode
-from convfec.trellis import CodeSpec
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -26,7 +24,7 @@ def test_invariants_raise_under_optimize():
         import types
         import numpy as np
         from convfec.decoder import _check_terminal
-        from convfec.encoder import encode_frame
+        from convfec.encoder import encode_frames
         from convfec.trellis import DEFAULT_SPEC, build_trellis
 
         assert False, "asserts must be stripped in this run"
@@ -41,7 +39,7 @@ def test_invariants_raise_under_optimize():
         stuck = types.SimpleNamespace(
             spec=untailed, num_states=64, symbol_table=good.symbol_table)
         try:
-            encode_frame([0] * 39 + [1], stuck)
+            encode_frames([[0] * 39 + [1]], stuck)
         except RuntimeError as exc:
             print("tail:", exc)
         """
@@ -73,12 +71,3 @@ def test_cli_empty_ebno_range_is_an_error(tmp_path, capsys):
 def test_hard_quantize_rejects_non_finite(bad):
     with pytest.raises(ValueError, match="finite"):
         hard_quantize(np.array([0.5, bad, -0.5]))
-
-
-def test_codebook_cache_is_bounded():
-    limit = _codebook.cache_info().maxsize
-    assert limit is not None
-    for stages in range(8, 8 + limit + 3):
-        spec = CodeSpec.from_octal("7,5", constraint_length=3, frame_stages=stages)
-        ml_decode([0] * (2 * stages), spec)
-    assert _codebook.cache_info().currsize <= limit

@@ -14,13 +14,12 @@ from hypothesis import strategies as st
 
 from convfec.decoder import (
     REGISTER_EXCHANGE,
+    TRACEBACK,
     _acs_kernel,
-    decode_frame,
-    decode_frame_register_exchange,
     decode_frames,
 )
 from convfec.encoder import encode_frames
-from convfec.oracle import ml_decode
+from convfec.oracle import ml_decode_frames
 from convfec.trellis import DEFAULT_SPEC, CodeSpec, build_trellis
 
 from reference import ml_enumerate, reference_acs, reference_encode
@@ -83,15 +82,17 @@ def _check_agreement(spec: CodeSpec, words: np.ndarray, oracle: bool = True) -> 
     re_bits, re_metrics = decode_frames(words, trellis, REGISTER_EXCHANGE)
     assert np.array_equal(tb_bits, re_bits)
     assert np.array_equal(tb_metrics, re_metrics)
-    for row, bits, metric in zip(words, tb_bits.tolist(), tb_metrics.tolist()):
-        for single in (decode_frame(row, trellis), decode_frame_register_exchange(row, trellis)):
-            assert single.decoded == bits
-            assert single.final_metric == metric
+    truths = ml_decode_frames(words, spec) if oracle else [None] * len(words)
+    for row, bits, metric, truth in zip(words, tb_bits.tolist(), tb_metrics.tolist(), truths):
+        for scheme in (TRACEBACK, REGISTER_EXCHANGE):  # one frame alone decodes as in the batch
+            single_bits, single_metrics = decode_frames(row[np.newaxis], trellis, scheme)
+            assert single_bits.tolist() == [bits]
+            assert single_metrics.tolist() == [metric]
         assert bits[spec.payload_length:] == [0] * spec.tail_length
         recoded = reference_encode(bits[: spec.payload_length], spec)
         assert sum(a != b for a, b in zip(recoded, row.tolist())) == metric
         if oracle:
-            assert ml_decode(row, spec).best_distance == metric
+            assert truth.best_distance == metric
 
 
 def _check_stage_words(spec: CodeSpec, words: np.ndarray) -> np.dtype:
@@ -167,7 +168,7 @@ def test_k9_stage_words_equal_reference_acs():
 @pytest.mark.parametrize("n", [1, 8, 9, 300])
 def test_k9_register_exchange_equals_traceback(n):
     # register exchange on 256 states, with frame counts on both sides of a
-    # packed byte; the single-frame decoders are left to test_k9_decoders_agree
+    # packed byte; the one-frame decodes are left to test_k9_decoders_agree
     spec, words = _k9_words(n, seed=94 + n, stages=40)
     trellis = build_trellis(spec)
     tb_bits, tb_metrics = decode_frames(words, trellis)
