@@ -35,7 +35,7 @@ from .oracle import MAX_PAYLOAD_BITS, ml_decode_frames
 from .trellis import CodeSpec, build_trellis
 
 _MAX_EBNO_POINTS = 1000  # a longer --ebno range is a typo, not a sweep anyone can wait for
-_NEWLINE, _CARRIAGE_RETURN = ord("\n"), ord("\r")
+_NEWLINE = ord("\n")
 
 
 class CliError(Exception):
@@ -145,22 +145,26 @@ def _resolve_spec(args: argparse.Namespace) -> CodeSpec:
 
 
 def _read_frames(path: str, expected_len: int, what: str) -> np.ndarray:
-    """Read a file of '0'/'1' lines into one ``(n, expected_len)`` uint8 array."""
+    """Read '0'/'1' lines into one ``(n, expected_len)`` uint8 array.  Stdin and files
+    are read as raw bytes, so ``_parse_lines``'s line-end rule holds for both."""
     if path == "-":
-        return _parse_lines(sys.stdin, expected_len, what)
+        if sys.stdin is None:
+            raise CliError("cannot read stdin: it is closed")
+        return _parse_lines(sys.stdin.buffer.read(), expected_len, what)
     try:
-        # as on stdin (see main), a non-ASCII byte reaches the parser's line-numbered diagnostic
-        with open(path, "r", encoding="ascii", errors="surrogateescape") as fp:
-            return _parse_lines(fp, expected_len, what)
+        with open(path, "rb") as fp:
+            data = fp.read()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc.strerror}") from exc
+    return _parse_lines(data, expected_len, what)
 
 
-def _parse_lines(fp, expected_len: int, what: str) -> np.ndarray:
-    """Whole-buffer parse of '0'/'1' lines.  Trailing '\\r's are stripped, and
-    blank lines are skipped but still count in the line numbers."""
-    text = fp.read()
-    raw = np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)  # a byte per character
+def _parse_lines(data: bytes, expected_len: int, what: str) -> np.ndarray:
+    """Whole-buffer parse of '0'/'1' lines.  A line ends at '\\n', '\\r\\n' or
+    a lone '\\r'; blank lines are skipped but still count in the line numbers."""
+    if b"\r" in data:  # the test is far cheaper than the copies on a file without '\r'
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    raw = np.frombuffer(data, dtype=np.uint8)
     width = expected_len + 1
     if raw.size % width == 0:  # the common case: every line full, bare and terminated
         rows = raw.reshape(-1, width)
@@ -170,45 +174,43 @@ def _parse_lines(fp, expected_len: int, what: str) -> np.ndarray:
     sep = raw == _NEWLINE
     newlines = np.flatnonzero(sep)
     starts, ends = np.r_[0, newlines + 1], np.r_[newlines, raw.size]
-    # only stdin keeps '\r's; one is trailing when only '\r's follow it to its line's end
-    cr = np.flatnonzero(raw == _CARRIAGE_RETURN)
-    line_end = ends[np.searchsorted(newlines, cr)]
-    cr = cr[np.searchsorted(cr, line_end) - np.arange(cr.size) == line_end - cr]
-    sep[cr] = True
-    lengths = ends - starts - np.bincount(np.searchsorted(newlines, cr), minlength=ends.size)
+    lengths = ends - starts
     invalid = ((raw - ord("0")) > 1) & ~sep
     offending = np.flatnonzero((lengths != expected_len) & (lengths > 0))[:1].tolist()
     if invalid.any():
         offending.append(int(np.searchsorted(newlines, invalid.argmax())))
     if offending:
         i = min(offending)
-        line = text[starts[i]:starts[i] + lengths[i]]
-        bad = line.lstrip("01")
-        if bad:
-            raise CliError(f"line {i + 1}: invalid character {bad[0]!r} "
+        line = data[starts[i]:ends[i]]
+        bad = line.lstrip(b"01")
+        if bad:  # surrogateescape names a non-ASCII byte, e.g. '\\udcff' for 0xff
+            char = bad[:1].decode("ascii", "surrogateescape")
+            raise CliError(f"line {i + 1}: invalid character {char!r} "
                            "(frames are lines of '0'/'1')")
         raise CliError(f"line {i + 1}: {what} frame must be {expected_len} bits, "
                        f"got {len(line)}")
     return (raw[~sep] - ord("0")).reshape(np.count_nonzero(lengths), expected_len)
 
 
-def _format_frames(frames: Sequence[Sequence[int]]) -> str:
+def _format_frames(frames: Sequence[Sequence[int]]) -> bytes:
     if len(frames) == 0:
-        return ""
+        return b""
     digits = np.asarray(frames, dtype=np.uint8) + ord("0")
-    newline = np.full((digits.shape[0], 1), ord("\n"), dtype=np.uint8)
-    return np.hstack([digits, newline]).tobytes().decode("ascii")
+    newline = np.full((digits.shape[0], 1), _NEWLINE, dtype=np.uint8)
+    return np.hstack([digits, newline]).tobytes()
 
 
-def _write_text(path: str, text: str) -> None:
+def _write(path: str, data: bytes) -> None:
     if path == "-":
-        sys.stdout.write(text)
+        if sys.stdout is None:
+            raise CliError("cannot write stdout: it is closed")
+        sys.stdout.buffer.write(data)
         return
     target, tmp = os.path.abspath(path), None
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".convfec-")
-        with os.fdopen(fd, "w", encoding="ascii") as fp:
-            fp.write(text)
+        with os.fdopen(fd, "wb") as fp:
+            fp.write(data)
         os.replace(tmp, target)  # no partial output files
     except OSError as exc:
         if tmp is not None and os.path.exists(tmp):
@@ -230,7 +232,7 @@ def _spec_summary(spec: CodeSpec) -> str:
 def _cmd_encode(args: argparse.Namespace, spec: CodeSpec) -> int:
     trellis = build_trellis(spec)
     payloads = _read_frames(args.input, spec.payload_length, "payload")
-    _write_text(args.output, _format_frames(encode_frames(payloads, trellis)))
+    _write(args.output, _format_frames(encode_frames(payloads, trellis)))
     return 0
 
 
@@ -239,10 +241,10 @@ def _cmd_decode(args: argparse.Namespace, spec: CodeSpec) -> int:
     frames = _read_frames(args.input, 2 * spec.frame_stages, "coded")
     scheme = TRACEBACK if args.scheme == "traceback" else REGISTER_EXCHANGE
     decoded, _ = decode_frames(frames, trellis, scheme)
-    _write_text(args.output, _format_frames(decoded[:, : spec.payload_length]))
+    _write(args.output, _format_frames(decoded[:, : spec.payload_length]))
     if args.activity is not None:
         report = ActivityReport.for_frames(spec, scheme, len(frames))
-        _write_text(args.activity, _activity_csv(len(frames), [report]))
+        _write(args.activity, _activity_csv(len(frames), [report]).encode())
     return 0
 
 
@@ -254,7 +256,7 @@ def _cmd_oracle_decode(args: argparse.Namespace, spec: CodeSpec) -> int:
         )
     frames = _read_frames(args.input, 2 * spec.frame_stages, "coded")
     payloads = [result.best_payload for result in ml_decode_frames(frames, spec)]
-    _write_text(args.output, _format_frames(payloads))
+    _write(args.output, _format_frames(payloads))
     return 0
 
 
@@ -264,7 +266,7 @@ def _cmd_inject_errors(args: argparse.Namespace, spec: CodeSpec) -> int:
     except ValueError:
         raise CliError(f"--positions must be comma-separated integers, got {args.positions!r}")
     frames = _read_frames(args.input, 2 * spec.frame_stages, "coded")
-    _write_text(args.output, _format_frames(inject_errors(frames, positions)))
+    _write(args.output, _format_frames(inject_errors(frames, positions)))
     return 0
 
 
@@ -316,7 +318,7 @@ def _cmd_ber_sweep(args: argparse.Namespace, spec: CodeSpec) -> int:
         raise CliError(f"--stop-errors must be nonnegative, got {args.stop_errors}")
     cfg = SweepConfig(ebno_points=ebno, min_info_bits=low, max_info_bits=high,
                       stop_at_errors=args.stop_errors, seed=args.seed, spec=spec)
-    _write_text(args.out, format_ber_csv(ber_sweep(cfg)))
+    _write(args.out, format_ber_csv(ber_sweep(cfg)).encode())
     return 0
 
 
@@ -332,7 +334,7 @@ def _cmd_power_compare(args: argparse.Namespace, spec: CodeSpec) -> int:
         seed=args.seed,
         spec=spec,
     )
-    _write_text(args.out, format_power_csv(power_compare(cfg)))
+    _write(args.out, format_power_csv(power_compare(cfg)).encode())
     return 0
 
 
@@ -368,6 +370,4 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
-    if sys.stdin:  # decoded as files are, so a bad byte gets the line-numbered diagnostic
-        sys.stdin.reconfigure(encoding="ascii", errors="surrogateescape")
     sys.exit(run())

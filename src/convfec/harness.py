@@ -101,7 +101,7 @@ def _run_point(
     rows, ``receive`` maps hard decisions back to payload rows."""
     # every scheme runs payload-sized frames, so frame_errors compare
     block = cfg.spec.payload_length
-    noise = NoiseConfig(ebno_db, code_rate=code_rate, seed=cfg.seed)
+    noise = NoiseConfig(ebno_db, code_rate=code_rate)
     info_bits = bit_errors = frame_errors = 0
     while True:
         remaining = -(-(cfg.max_info_bits - info_bits) // block)

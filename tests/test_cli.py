@@ -150,18 +150,20 @@ def _frame_texts(draw):
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=600)
-@given(_frame_texts(), st.sampled_from(["\n", None]))
-def test_parse_lines_equals_the_per_line_reference(case, newline):
-    # newline="\n" reads like stdin ('\r' kept), None like a file (universal newlines)
+@given(_frame_texts())
+def test_parse_lines_equals_the_per_line_reference(case):
+    # the reference reads the bytes as a text file: ASCII, universal newlines
     width, text = case
+    data = text.encode("utf-8", "surrogateescape")
+    reader = io.TextIOWrapper(io.BytesIO(data), encoding="ascii", errors="surrogateescape")
 
-    def outcome(parse):
+    def outcome(parse, source):
         try:
-            return parse(io.StringIO(text, newline=newline), width, "coded")
+            return parse(source, width, "coded")
         except CliError as exc:
             return str(exc)
 
-    got, want = outcome(_parse_lines), outcome(reference_parse_lines)
+    got, want = outcome(_parse_lines, data), outcome(reference_parse_lines, reader)
     if isinstance(want, str):
         assert got == want
     else:
@@ -455,26 +457,47 @@ def test_power_compare_csv(tmp_path):
     assert lines[2] == "register-exchange,2,104960,5120,0,20.5"
 
 
+_SMALL_CODE = ["-K", "3", "--generators", "7,5"]
+_BAD_BYTE = b"convfec: error: line 1: invalid character '\\udcff' (frames are lines of '0'/'1')\n"
+
+
 @pytest.mark.parametrize("encoding", ["utf-8:strict", "latin-1"])
-def test_non_ascii_byte_gets_the_same_diagnostic_on_stdin_and_from_a_file(tmp_path, encoding):
-    # stdin is decoded as a file is, whatever the locale: a bad byte is a line-numbered error
-    bad = tmp_path / "bad.txt"
-    bad.write_bytes(b"0\xff11110000\n")
-    argv = [sys.executable, "-m", "convfec", "-K", "3", "--generators", "7,5", "-L", "5",
-            "inject-errors", "--positions", "0"]
+@pytest.mark.parametrize("data, argv, want", [
+    (b"0\xff11110000\n", [*_SMALL_CODE, "-L", "5", "inject-errors", "--positions", "0"],
+     (1, b"", _BAD_BYTE)),
+    (b"10110\r01101\n", [*_SMALL_CODE, "-L", "7", "encode"],
+     (0, b"11100001011100\n00110101001011\n", b"")),
+    (b"10110\r\r\n011\n", [*_SMALL_CODE, "-L", "7", "encode"],
+     (1, b"", b"convfec: error: line 3: payload frame must be 5 bits, got 3\n")),
+], ids=["non-ascii", "lone-cr", "cr-crlf"])
+def test_stdin_and_a_file_give_the_same_result(tmp_path, encoding, data, argv, want):
+    # the same bytes, whatever the locale: one line-end rule, one line-numbered diagnostic
+    path = tmp_path / "frames.txt"
+    path.write_bytes(data)
     env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONIOENCODING": encoding}
-    want = "convfec: error: line 1: invalid character '\\udcff' (frames are lines of '0'/'1')\n"
-    for extra, stdin in (([], bad.read_bytes()), (["-i", str(bad)], b"")):
-        result = subprocess.run(argv + extra, input=stdin, capture_output=True, env=env)
-        assert result.returncode == 1
-        assert result.stdout == b""
-        assert result.stderr.decode("ascii") == want
+    for extra, stdin in (([], data), (["-i", str(path)], b"")):
+        result = subprocess.run([sys.executable, "-m", "convfec", *argv, *extra],
+                                input=stdin, capture_output=True, env=env)
+        assert (result.returncode, result.stdout, result.stderr) == want
 
 
 def test_stdin_stdout_pipes(monkeypatch, capsys):
-    monkeypatch.setattr("sys.stdin", io.StringIO("0" * 34 + "\n"))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"0" * 34 + b"\n")))
     assert run(["encode"]) == 0
     assert capsys.readouterr().out == "0" * 80 + "\n"
+
+
+@pytest.mark.parametrize("stream, argv, message", [
+    ("stdin", ["inject-errors", "--positions", "0"], "cannot read stdin: it is closed"),
+    ("stdout", ["encode", "-i", "{payloads}"], "cannot write stdout: it is closed"),
+], ids=["stdin", "stdout"])
+def test_closed_stdio_is_one_line(capsys, monkeypatch, payload_file, stream, argv, message):
+    # a process started with the stream closed ('<&-', '>&-') has it set to None;
+    # capsys comes first so that monkeypatch restores its stream before capsys ends
+    payloads, _ = payload_file
+    monkeypatch.setattr(f"sys.{stream}", None)
+    assert run([part.format(payloads=payloads) for part in argv]) == 1
+    assert capsys.readouterr().err == f"convfec: error: {message}\n"
 
 
 def test_decode_empty_input_still_reports_scheme(tmp_path):
