@@ -11,6 +11,7 @@ must precede the subcommand, e.g.::
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -42,7 +43,13 @@ class CliError(Exception):
     """A user-facing failure; rendered as a one-line diagnostic."""
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command tree, built on the first call and shared by every later one.
+
+    ``parse_args`` makes a fresh namespace and checks ``required`` and
+    ``choices`` on each call, so :func:`run` can reuse it; callers must not
+    mutate it."""
     parser = argparse.ArgumentParser(
         prog="convfec",
         description=(
@@ -312,6 +319,8 @@ def _cmd_ber_sweep(args: argparse.Namespace, spec: CodeSpec) -> int:
     ebno = _parse_ebno(args.ebno)
     low = _parse_bit_count(args.min_bits, "--min-bits")
     high = _parse_bit_count(args.max_bits, "--max-bits")
+    if high == 0:  # the runner decodes at least one whole frame per cell
+        raise CliError("--max-bits must be positive, got 0")
     if low > high:
         raise CliError(f"--min-bits {low} exceeds --max-bits {high}")
     if args.stop_errors < 0:

@@ -3,7 +3,7 @@
 The kernel writes one stage word per stage and frame, once: bit ``s`` is 1 when
 state ``s``'s survivor came via its upper branch (ties keep the lower one).  Trace-back
 and register exchange both map the words to decoded bits; they differ only in activity
-cost.  Trace-back writes each stage's bit, the LSB of the state it walks through.
+cost.  Trace-back writes stage ``t``'s survivor bit as the input at ``t - (K-1)``.
 :func:`decode_frames` is the one entry point; one frame is a ``(1, 2L)`` array."""
 
 from __future__ import annotations
@@ -83,20 +83,22 @@ def _acs_kernel(rsym: np.ndarray, trellis: Trellis) -> tuple[np.ndarray, np.ndar
 
 def traceback(words: np.ndarray, trellis: Trellis, frames: int) -> np.ndarray:
     """Trace-back survivor memory: each frame's decoded bits, oldest first, walking
-    back from state 0, where the zero tail ends every frame.  Stage ``t``'s bit is
-    the LSB of the state it walks through; before state ``s`` comes ``s >> 1``,
-    plus ``S/2`` when its survivor bit is 1."""
+    back from state 0, where the zero tail ends every frame.  Before state ``s``
+    comes ``s >> 1``, plus ``S/2`` when its survivor bit is 1.  That bit is the
+    predecessor's MSB, the input ``K - 1`` stages back, so stage ``t`` gives bit
+    ``t - (K-1)``; the last ``K - 1`` bits are the tail's zeros."""
     stages, states, nbytes = trellis.spec.frame_stages, trellis.num_states, -(-frames // 8)
     if words.shape != (stages, states, nbytes):
         raise ValueError(f"traceback needs a complete frame: stage words of shape "
                          f"{(stages, states, nbytes)}, got {words.shape}")
     byte, shift = np.arange(frames) >> 3, np.arange(frames) & 7  # intp, so upper * S/2 cannot wrap
     flat = words.reshape(stages, -1)  # one 1-D take per stage, at state * nbytes + byte
-    bits = np.empty((stages, frames), dtype=np.uint8)
+    memory = trellis.spec.constraint_length - 1
+    bits = np.zeros((stages, frames), dtype=np.uint8)  # bits L-(K-1) on are the zero tail
     state = np.zeros(frames, dtype=np.intp)
-    for t in range(stages - 1, -1, -1):
-        bits[t] = state & 1
+    for t in range(stages - 1, memory - 1, -1):
         upper = (flat[t].take(state * nbytes + byte) >> shift) & 1
+        bits[t - memory] = upper
         state = (state >> 1) + upper * (states >> 1)
     return bits.T
 

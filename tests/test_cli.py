@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import io
 import os
 import random
@@ -14,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convfec.cli import CliError, _parse_ebno, _parse_lines, run
-from convfec import oracle
+from convfec import __version__, cli, oracle
+from convfec.decoder import REGISTER_EXCHANGE, TRACEBACK
 from convfec.trellis import CodeSpec
 
 from reference import reference_parse_lines
@@ -364,6 +366,15 @@ def test_ber_sweep_budget_diagnostics_name_the_flags(tmp_path, capsys, flags, me
     assert not out.exists()
 
 
+def test_ber_sweep_rejects_a_zero_bit_budget(tmp_path, capsys):
+    # the runner decodes at least one whole frame per cell, which a 0-bit budget cannot pay for
+    out = tmp_path / "ber.csv"
+    assert run(["ber-sweep", "--ebno", "6", "--min-bits", "0", "--max-bits", "0",
+                "-o", str(out)]) == 1
+    assert capsys.readouterr().err == "convfec: error: --max-bits must be positive, got 0\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["ber-sweep", "--ebno=4000", "--min-bits", "0", "--max-bits", "1000"],
     ["ber-sweep", "--ebno=-4000", "--min-bits", "0", "--max-bits", "1000"],
@@ -509,3 +520,94 @@ def test_decode_empty_input_still_reports_scheme(tmp_path):
                 "--activity", str(activity)]) == 0
     assert out.read_text() == ""
     assert activity.read_text().splitlines()[1] == "register-exchange,0,0,0,0"
+
+
+def test_parser_is_built_on_the_first_run_not_at_import():
+    code = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    built.append(self)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "import convfec.cli\n"
+        "counts = [len(built)]\n"
+        "for _ in range(2):\n"
+        "    convfec.cli.run(['--spec-dump'])\n"
+        "    counts.append(len(built))\n"
+        "print(*counts)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(SRC)}, check=True)
+    at_import, first_run, second_run = map(int, result.stdout.splitlines()[-1].split())
+    assert at_import == 0
+    assert first_run > 0
+    assert second_run == first_run
+
+
+def test_a_second_run_builds_no_parser(monkeypatch, capsys):
+    assert run(["--spec-dump"]) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert run(["--spec-dump"]) == 0
+    assert built == []
+
+
+def test_shared_parser_forgets_decode_options(tmp_path, payload_file, monkeypatch):
+    payloads, _ = payload_file
+    coded = tmp_path / "coded.txt"
+    assert run(["encode", "-i", str(payloads), "-o", str(coded)]) == 0
+    schemes = []
+    decode_frames = cli.decode_frames
+
+    def spy(frames, trellis, scheme):
+        schemes.append(scheme)
+        return decode_frames(frames, trellis, scheme)
+
+    monkeypatch.setattr(cli, "decode_frames", spy)
+    activity = tmp_path / "activity.csv"
+    first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+    assert run(["decode", "--scheme", "regex", "--activity", str(activity),
+                "-i", str(coded), "-o", str(first)]) == 0
+    activity.unlink()
+    assert run(["decode", "-i", str(coded), "-o", str(second)]) == 0
+    assert schemes == [REGISTER_EXCHANGE, TRACEBACK]
+    assert not activity.exists()
+    assert second.read_bytes() == first.read_bytes()
+
+
+def test_shared_parser_still_requires_positions(tmp_path, payload_file, capsys):
+    payloads, _ = payload_file
+    coded = tmp_path / "coded.txt"
+    assert run(["encode", "-i", str(payloads), "-o", str(coded)]) == 0
+    assert run(["inject-errors", "--positions", "3", "-i", str(coded),
+                "-o", str(tmp_path / "noisy.txt")]) == 0
+    capsys.readouterr()
+    assert run(["inject-errors", "-i", str(coded), "-o", str(tmp_path / "again.txt")]) == 2
+    assert "the following arguments are required: --positions" in capsys.readouterr().err
+    assert not (tmp_path / "again.txt").exists()
+
+
+def test_usage_error_then_a_valid_command(capsys):
+    assert run(["--frobnicate"]) == 2
+    capsys.readouterr()
+    assert run(["--spec-dump"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("constraint_length=7 ")
+    assert captured.err == ""
+
+
+def test_version_then_spec_dump(capsys):
+    assert run(["--version"]) == 0
+    assert capsys.readouterr().out == f"convfec {__version__}\n"
+    assert run(["--spec-dump"]) == 0
+    assert capsys.readouterr().out == (
+        "constraint_length=7 generators_octal=171,133 frame_stages=40 "
+        "payload_bits=34 tail_bits=6 states=64\n")
