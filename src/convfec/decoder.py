@@ -18,8 +18,9 @@ from .trellis import CodeSpec, Trellis, bit_rows
 TRACEBACK = "trace-back"
 REGISTER_EXCHANGE = "register-exchange"
 
-# frames per kernel call: larger batches run in blocks that stay cache-sized
-_BLOCK_FRAMES = 2048
+# state-frames per kernel call: 2048 frames of a 64-state code, so that a block's metrics,
+# stage words and registers stay cache-sized; clamped to 256 ... 2048 frames
+_BLOCK_STATE_FRAMES = 2048 * 64
 
 _SYMBOL_HAMMING = np.array(  # Hamming distance between packed 2-bit symbols
     [[bin(a ^ b).count("1") for b in range(4)] for a in range(4)], dtype=np.uint8)
@@ -57,28 +58,41 @@ def _acs_kernel(rsym: np.ndarray, trellis: Trellis) -> tuple[np.ndarray, np.ndar
     """ACS from state 0 over ``(T, n)`` packed symbols.  Returns the final
     ``(S, n)`` metrics and ``(T, S, ceil(n / 8))`` stage words, frame ``i`` at
     bit ``i % 8``.  States ``j``, ``j + S/2`` feed ``2j``, ``2j + 1`` (one
-    butterfly per stage); ties keep the lower predecessor."""
+    butterfly per stage); ties keep the lower predecessor.
+
+    Warm-up: before stage ``t < K-1`` only states ``s < 2^t`` are reachable,
+    all in the lower half, so every state's survivor is its lower predecessor
+    (an unreachable pair ties) and the word stays 0.  Only rows ``:2^(t+1)``
+    change; the rest keep the sentinel.  From stage K-1 on every state is
+    reachable and the full butterfly runs."""
     stages, n = rsym.shape
     states, half = trellis.num_states, trellis.num_states >> 1
     # the narrowest type whose sentinel exceeds 2L, the largest reachable metric (int8 to L = 62)
     dtype = next(t for t in (np.int8, np.int16, np.int32) if 2 * stages < _sentinel(t))
     # d[t, e, i]: distance to symbol e, time-major so a stage gathers one contiguous block
     d = np.take(_SYMBOL_HAMMING.astype(dtype), rsym, axis=0).swapaxes(1, 2).copy()
+    table = trellis.symbol_table.astype(np.intp)
     metric = np.full((states, n), _sentinel(dtype), dtype=dtype)
     metric[0] = 0
-    clamp = np.full(n, _sentinel(dtype), dtype=dtype)  # a row broadcasts faster than a scalar
-    words = np.empty((stages, states, -(-n // 8)), dtype=np.uint8)
-    # only these stages have unreachable states: clamping their sums to the sentinel keeps
-    # every sum at most max and makes unreachable predecessors tie, so their bits are defined
-    warmup = trellis.spec.constraint_length - 1
-    for t in range(stages):
+    words = np.zeros((stages, states, -(-n // 8)), dtype=np.uint8)
+    warmup = min(trellis.spec.constraint_length - 1, stages)
+    for t in range(warmup):  # state 2j + b <- j on the lower branch r = 2j + b
+        live = 1 << t
+        step = d[t].take(table[:2 * live], axis=0).reshape(live, 2, n)
+        metric[:2 * live] = (metric[:live, np.newaxis] + step).reshape(2 * live, n)
+    for t in range(warmup, stages):
         # cand[u, j, b]: the path into state 2j + b from predecessor j + u * S/2
-        cand = metric.reshape(2, half, 1, n) + d[t][trellis.symbol_table].reshape(2, half, 2, n)
-        if t < warmup:
-            np.minimum(cand, clamp, out=cand)
+        cand = metric.reshape(2, half, 1, n) + d[t].take(table, axis=0).reshape(2, half, 2, n)
         words[t] = np.packbits((cand[1] < cand[0]).reshape(states, n), axis=1, bitorder="little")
         metric = np.minimum(cand[0], cand[1]).reshape(states, n)
     return metric, words
+
+
+def _check_words(words: np.ndarray, trellis: Trellis, frames: int) -> None:
+    shape = (trellis.spec.frame_stages, trellis.num_states, -(-frames // 8))
+    if words.shape != shape:
+        raise ValueError(f"survivor memory needs a complete frame: stage words of shape "
+                         f"{shape}, got {words.shape}")
 
 
 def traceback(words: np.ndarray, trellis: Trellis, frames: int) -> np.ndarray:
@@ -87,10 +101,8 @@ def traceback(words: np.ndarray, trellis: Trellis, frames: int) -> np.ndarray:
     comes ``s >> 1``, plus ``S/2`` when its survivor bit is 1.  That bit is the
     predecessor's MSB, the input ``K - 1`` stages back, so stage ``t`` gives bit
     ``t - (K-1)``; the last ``K - 1`` bits are the tail's zeros."""
-    stages, states, nbytes = trellis.spec.frame_stages, trellis.num_states, -(-frames // 8)
-    if words.shape != (stages, states, nbytes):
-        raise ValueError(f"traceback needs a complete frame: stage words of shape "
-                         f"{(stages, states, nbytes)}, got {words.shape}")
+    _check_words(words, trellis, frames)
+    stages, states, nbytes = words.shape
     byte, shift = np.arange(frames) >> 3, np.arange(frames) & 7  # intp, so upper * S/2 cannot wrap
     flat = words.reshape(stages, -1)  # one 1-D take per stage, at state * nbytes + byte
     memory = trellis.spec.constraint_length - 1
@@ -107,15 +119,24 @@ def _register_exchange(words: np.ndarray, trellis: Trellis, frames: int) -> np.n
     """Register-exchange survivor memory in the stage words' own layout: state
     ``s``'s register is ``L`` rows of frame-packed bytes.  At stage ``t`` every
     state copies its winner's ``t`` rows written so far, the stage word's bits
-    selecting frame by frame, and sets row ``t`` to its LSB.  One unpack of
-    state 0's register after the last stage gives the decoded bits."""
-    stages, half = words.shape[0], trellis.num_states >> 1
-    regs = np.zeros((2 * half, stages, words.shape[2]), dtype=np.uint8)
+    selecting frame by frame, and sets row ``t`` to its LSB.  Two register
+    buffers swap each stage: the copies go from one into the other.  One unpack
+    of state 0's register after the last stage gives the decoded bits."""
+    _check_words(words, trellis, frames)
+    stages, states, nbytes = words.shape
+    half = states >> 1
+    regs, spare = np.zeros((2, states, stages, nbytes), dtype=np.uint8)
     for t in range(stages):
-        lower = np.repeat(regs[:half, :t], 2, axis=0)  # states 2j, 2j+1 both follow j or j+S/2
-        upper = np.repeat(regs[half:, :t], 2, axis=0)
-        regs[:, :t] = lower ^ ((lower ^ upper) & words[t][:, np.newaxis])
-        regs[1::2, t] = 0xFF
+        # states 2j, 2j+1 follow j or j+S/2: lower ^ (diff & word bit), with the word
+        # repeated over the t rows so that each op runs over contiguous t * nbytes spans
+        lower = regs[:half, np.newaxis, :t]
+        diff = lower ^ regs[half:, np.newaxis, :t]
+        mask = np.repeat(words[t].reshape(half, 2, 1, nbytes), t, axis=2)
+        out = spare.reshape(half, 2, stages, nbytes)[:, :, :t]
+        np.bitwise_and(mask, diff, out=out)
+        out ^= lower
+        spare[1::2, t] = 0xFF  # row t of the even states is still 0: never written
+        regs, spare = spare, regs
     return np.unpackbits(regs[0], axis=1, count=frames, bitorder="little").T
 
 
@@ -144,8 +165,9 @@ def decode_frames(coded: np.ndarray, trellis: Trellis,
     rsym = ((arr[:, 0::2] << 1) | arr[:, 1::2]).T
     decoded = np.empty((len(arr), spec.frame_stages), dtype=np.uint8)
     final_metrics = np.empty(len(arr), dtype=np.int64)
-    for lo in range(0, len(arr), _BLOCK_FRAMES):
-        block = slice(lo, lo + _BLOCK_FRAMES)
+    block_frames = min(2048, max(256, _BLOCK_STATE_FRAMES // spec.num_states))
+    for lo in range(0, len(arr), block_frames):
+        block = slice(lo, lo + block_frames)
         metric, words = _acs_kernel(rsym[:, block], trellis)
         final_metrics[block] = metric[0]
         decoded[block] = memory(words, trellis, metric.shape[1])

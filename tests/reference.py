@@ -60,14 +60,15 @@ def reference_acs(received, spec: CodeSpec) -> tuple[list[int], list[float]]:
     Unreachable states hold infinity.  On equal sums, including two
     unreachable predecessors, the survivor is the lower predecessor.
 
-    Returns the survivor word of every stage (bit s is 1 when state s's
-    survivor came from its upper predecessor) and the final metric of every
-    state.
+    Runs one stage per received bit pair, so a prefix of a frame gives the
+    recursion's state after that many stages.  Returns the survivor word of
+    every stage (bit s is 1 when state s's survivor came from its upper
+    predecessor) and the final metric of every state.
     """
     states = 1 << (spec.constraint_length - 1)
     metric = [0.0] + [math.inf] * (states - 1)
     words = []
-    for t in range(spec.frame_stages):
+    for t in range(len(received) // 2):
         symbol = (received[2 * t], received[2 * t + 1])
         new_metric, word = [], 0
         for s in range(states):

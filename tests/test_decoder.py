@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from convfec import decoder
 from convfec.channel import NoiseConfig, add_awgn, bpsk_modulate, hard_quantize, inject_errors
 from convfec.decoder import (
     REGISTER_EXCHANGE,
@@ -55,10 +56,18 @@ def test_survivor_memory_write_contract(default_trellis):
     assert writes == words.shape[0] * words.shape[1] == 64 * 40
 
 
-def test_traceback_requires_complete_frame(default_trellis):
+@pytest.mark.parametrize("memory", [traceback, _register_exchange],
+                         ids=["traceback", "register-exchange"])
+def test_traceback_requires_complete_frame(default_trellis, memory):
+    # both survivor memories share one shape check and one message
     words = np.zeros((1, 64, 1), dtype=np.uint8)
     with pytest.raises(ValueError, match="complete frame"):
-        traceback(words, default_trellis, 1)
+        memory(words, default_trellis, 1)
+    with pytest.raises(ValueError, match=r"^survivor memory needs a complete frame: stage words "
+                                         r"of shape \(40, 64, 2\), got \(40, 64, 1\)$"):
+        memory(np.zeros((40, 64, 1), dtype=np.uint8), default_trellis, 9)
+    with pytest.raises(ValueError, match="complete frame"):  # 32-state words, 64 states
+        memory(np.zeros((40, 32, 1), dtype=np.uint8), default_trellis, 1)
 
 
 @pytest.mark.parametrize("shape, frames", [
@@ -109,11 +118,18 @@ def test_traceback_reads_each_frames_own_bit(default_trellis):
     CodeSpec.from_octal("23,35", constraint_length=5, frame_stages=14),
     DEFAULT_SPEC,
     CodeSpec.from_octal("561,753", constraint_length=9, frame_stages=20),
-], ids=["k3", "k5", "default", "k9"])
-@pytest.mark.parametrize("n", [1, 7, 8, 9, 300])
+    CodeSpec.from_octal("171,133", constraint_length=7, frame_stages=41),
+    CodeSpec.from_octal("3,1", constraint_length=2, frame_stages=2),
+    CodeSpec.from_octal("3,1", constraint_length=2, frame_stages=3),
+    CodeSpec.from_octal("23,35", constraint_length=5, frame_stages=5),
+    CodeSpec.from_octal("23,35", constraint_length=5, frame_stages=6),
+], ids=["k3", "k5", "default", "k9", "default-L41", "k2-L2", "k2-L3", "k5-L5", "k5-L6"])
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 300, 400, 2048])
 def test_survivor_memories_agree_on_arbitrary_words(spec, n):
     # any stage words, not only the kernel's: both memories walk the same
-    # survivor choices, and neither reads the padding bits of a last byte
+    # survivor choices, and neither reads the padding bits of a last byte.
+    # Register exchange swaps two buffers each stage, so frames of both
+    # parities (L = 40 and 41, L = K and K+1) end in either buffer.
     trellis = build_trellis(spec)
     rng = np.random.default_rng(n * 31 + spec.constraint_length)
     words = rng.integers(0, 256, (spec.frame_stages, spec.num_states, -(-n // 8)), dtype=np.uint8)
@@ -296,6 +312,35 @@ def test_batch_decode_is_independent_of_batch_size(code, piece, k3_trellis, defa
         pieces = [decode_frames(words[lo:lo + piece], trellis, scheme)
                   for lo in range(0, len(words), piece)]
         assert np.array_equal(decoded, np.concatenate([p[0] for p in pieces]))
+        assert np.array_equal(metrics, np.concatenate([p[1] for p in pieces]))
+
+
+@pytest.mark.parametrize("spec, frames, widths", [
+    (DEFAULT_SPEC, 4100, [2048, 2048, 4]),
+    (CodeSpec.from_octal("561,753", constraint_length=9, frame_stages=12), 1100, [512, 512, 76]),
+    (CodeSpec.from_octal("4335,5723", constraint_length=12, frame_stages=14), 600, [256, 256, 88]),
+], ids=["k7", "k9", "k12"])
+def test_decoder_blocks_are_sized_by_state_count(monkeypatch, spec, frames, widths):
+    # 2048 frames of a 64-state code per kernel call, 2048 * 64 / S frames
+    # above, at least 256; a batch decodes as its pieces do across a block boundary
+    trellis = build_trellis(spec)
+    received = np.random.default_rng(frames).integers(0, 2, (frames, 2 * spec.frame_stages),
+                                                      dtype=np.uint8)
+    seen = []
+    kernel = decoder._acs_kernel
+
+    def recording_kernel(rsym, trellis):
+        seen.append(rsym.shape[1])
+        return kernel(rsym, trellis)
+
+    monkeypatch.setattr(decoder, "_acs_kernel", recording_kernel)
+    for scheme in (TRACEBACK, REGISTER_EXCHANGE):
+        seen.clear()
+        bits, metrics = decode_frames(received, trellis, scheme)
+        assert seen == widths
+        pieces = [decode_frames(received[lo:lo + 100], trellis, scheme)
+                  for lo in range(0, frames, 100)]  # piece 200-300 holds the first boundary
+        assert np.array_equal(bits, np.concatenate([p[0] for p in pieces]))
         assert np.array_equal(metrics, np.concatenate([p[1] for p in pieces]))
 
 

@@ -7,6 +7,8 @@ the same on every run and the suite stays deterministic.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -16,6 +18,7 @@ from convfec.decoder import (
     REGISTER_EXCHANGE,
     TRACEBACK,
     _acs_kernel,
+    _sentinel,
     decode_frames,
 )
 from convfec.encoder import encode_frames
@@ -97,8 +100,8 @@ def _check_agreement(spec: CodeSpec, words: np.ndarray, oracle: bool = True) -> 
 
 def _check_stage_words(spec: CodeSpec, words: np.ndarray) -> np.dtype:
     """Kernel stage words on every state and stage, unreachable states included,
-    and every final metric equal :func:`reference_acs`.  Returns the kernel's
-    metric dtype."""
+    and every final metric equal :func:`reference_acs`, whose infinity is the
+    kernel's sentinel.  Returns the kernel's metric dtype."""
     trellis = build_trellis(spec)
     rsym = (words[:, 0::2] << 1 | words[:, 1::2]).T
     metric, stage_words = _acs_kernel(rsym, trellis)
@@ -110,7 +113,9 @@ def _check_stage_words(spec: CodeSpec, words: np.ndarray) -> np.dtype:
         for t, word in enumerate(ref_words):
             bits = (stage_words[t, :, i >> 3] >> (i & 7)) & 1
             assert bits.tolist() == [(word >> s) & 1 for s in range(spec.num_states)]
-        assert metric[:, i].tolist() == ref_metric
+        # a prefix shorter than K-1 stages ends with unreachable states: the sentinel
+        assert metric[:, i].tolist() == [_sentinel(metric.dtype) if m == math.inf else m
+                                         for m in ref_metric]
     return metric.dtype
 
 
@@ -126,6 +131,26 @@ def test_decoders_agree_with_each_other_and_the_references(data):
 def test_kernel_stage_words_equal_reference_acs_on_every_state(data):
     spec = data.draw(code_specs())
     _check_stage_words(spec, data.draw(received_words(spec)))
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_kernel_stage_prefixes_equal_reference_acs(data):
+    # prefixes T = 1 ... K: the warm-up (stages below K-1, where only the
+    # lower branches are live) covers all or part of each
+    spec = data.draw(code_specs())
+    words = data.draw(received_words(spec))
+    for stages in range(1, spec.constraint_length + 1):
+        _check_stage_words(spec, words[:, : 2 * stages])
+
+
+@pytest.mark.parametrize("octal, k, n", [("171,133", 7, 9), ("561,753", 9, 1)])
+def test_kernel_warmup_prefixes_equal_reference_acs(octal, k, n):
+    # every prefix T = 1 ... K+1 on random symbols, for codes above the drawn K <= 6
+    spec = CodeSpec.from_octal(octal, constraint_length=k, frame_stages=k + 1)
+    words = np.random.default_rng(k).integers(0, 2, size=(n, 2 * (k + 1)), dtype=np.uint8)
+    for stages in range(1, k + 2):
+        _check_stage_words(spec, words[:, : 2 * stages])
 
 
 @pytest.mark.parametrize("n", [1, 13, 300])
