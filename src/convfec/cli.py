@@ -16,7 +16,7 @@ import math
 import os
 import sys
 import tempfile
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -47,9 +47,11 @@ class CliError(Exception):
 def build_parser() -> argparse.ArgumentParser:
     """The command tree, built on the first call and shared by every later one.
 
-    ``parse_args`` makes a fresh namespace and checks ``required`` and
-    ``choices`` on each call, so :func:`run` can reuse it; callers must not
-    mutate it."""
+    Each subcommand's parser is a :class:`_DeferredParser`: its name and help
+    live in this parser, and its arguments are added the first time a command
+    line selects it.  ``parse_args`` makes a fresh namespace and checks
+    ``required`` and ``choices`` on each call, so :func:`run` can reuse the
+    tree; callers must not mutate it."""
     parser = argparse.ArgumentParser(
         prog="convfec",
         description=(
@@ -76,68 +78,83 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the resolved code spec and exit",
     )
 
-    sub = parser.add_subparsers(dest="command", metavar="command")
-
-    encode = sub.add_parser("encode", help="encode payload frames")
-    _add_io(encode)
-
-    decode = sub.add_parser("decode", help="Viterbi-decode coded frames to payloads")
-    _add_io(decode)
-    decode.add_argument(
-        "--scheme", choices=("traceback", "regex"), default="traceback",
-        help="survivor storage: trace-back or register exchange (regex)",
-    )
-    decode.add_argument(
-        "--activity", metavar="PATH",
-        help="also write aggregated switching-activity CSV to PATH",
-    )
-
-    oracle = sub.add_parser(
-        "oracle-decode", help="exhaustive ML decode (small codes only)"
-    )
-    _add_io(oracle)
-
-    inject = sub.add_parser("inject-errors", help="flip fixed bit positions per frame")
-    _add_io(inject)
-    inject.add_argument(
-        "--positions", required=True, metavar="N,N,...",
-        help="comma-separated bit indices to flip in every frame",
-    )
-
-    ber = sub.add_parser("ber-sweep", help="Monte-Carlo BER sweep over Eb/N0")
-    ber.add_argument(
-        "--ebno", required=True, metavar="SPEC",
-        help="Eb/N0 dB points: 'start:step:stop' or a comma list",
-    )
-    ber.add_argument("--min-bits", default="1e5", metavar="N",
-                     help="minimum information bits per point (default 1e5)")
-    ber.add_argument("--max-bits", default="1e7", metavar="N",
-                     help="information-bit budget per point (default 1e7)")
-    ber.add_argument("--stop-errors", type=int, default=200, metavar="N",
-                     help="stop a point after this many bit errors (default 200)")
-    ber.add_argument("--seed", type=int, default=0, help="sweep seed (default 0)")
-    ber.add_argument("-o", "--out", default="-", metavar="PATH",
-                     help="CSV output path ('-' for stdout)")
-
-    power = sub.add_parser(
-        "power-compare", help="survivor-activity comparison of both schemes"
-    )
-    power.add_argument("--frames", type=int, default=1000, metavar="N",
-                       help="frames to decode under each scheme (default 1000)")
-    power.add_argument("--ebno", type=float, default=4.0, metavar="DB",
-                       help="channel Eb/N0 in dB (default 4)")
-    power.add_argument("--seed", type=int, default=0, help="run seed (default 0)")
-    power.add_argument("-o", "--out", default="-", metavar="PATH",
-                       help="CSV output path ('-' for stdout)")
-
+    sub = parser.add_subparsers(dest="command", metavar="command",
+                                parser_class=_DeferredParser)
+    for name, (help_text, add_arguments) in _ARGUMENTS.items():
+        sub.add_parser(name, help=help_text, add_arguments=add_arguments)
     return parser
 
 
-def _add_io(parser: argparse.ArgumentParser) -> None:
+class _DeferredParser:
+    """A subcommand's ``ArgumentParser``, built on the first attribute access.
+
+    argparse makes one per ``add_parser`` call (the ``parser_class`` hook) and
+    touches it only once that command is selected, through whichever method
+    its Python version uses; every attribute is looked up on the built parser."""
+
+    def __init__(self, *, add_arguments: Callable[[argparse.ArgumentParser], None],
+                 **kwargs) -> None:
+        self._add_arguments, self._kwargs = add_arguments, kwargs
+        self._parser: argparse.ArgumentParser | None = None
+
+    def __getattr__(self, name: str):  # reached only for names this object lacks
+        if self._parser is None:
+            self._parser = argparse.ArgumentParser(**self._kwargs)
+            self._add_arguments(self._parser)
+        return getattr(self._parser, name)
+
+
+def _io_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-i", "--in", dest="input", default="-", metavar="PATH",
                         help="input frames, one per line ('-' for stdin)")
     parser.add_argument("-o", "--out", dest="output", default="-", metavar="PATH",
                         help="output path ('-' for stdout)")
+
+
+def _decode_arguments(parser: argparse.ArgumentParser) -> None:
+    _io_arguments(parser)
+    parser.add_argument(
+        "--scheme", choices=("traceback", "regex"), default="traceback",
+        help="survivor storage: trace-back or register exchange (regex)",
+    )
+    parser.add_argument(
+        "--activity", metavar="PATH",
+        help="also write aggregated switching-activity CSV to PATH",
+    )
+
+
+def _inject_errors_arguments(parser: argparse.ArgumentParser) -> None:
+    _io_arguments(parser)
+    parser.add_argument(
+        "--positions", required=True, metavar="N,N,...",
+        help="comma-separated bit indices to flip in every frame",
+    )
+
+
+def _ber_sweep_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--ebno", required=True, metavar="SPEC",
+        help="Eb/N0 dB points: 'start:step:stop' or a comma list",
+    )
+    parser.add_argument("--min-bits", default="1e5", metavar="N",
+                        help="minimum information bits per point (default 1e5)")
+    parser.add_argument("--max-bits", default="1e7", metavar="N",
+                        help="information-bit budget per point (default 1e7)")
+    parser.add_argument("--stop-errors", type=int, default=200, metavar="N",
+                        help="stop a point after this many bit errors (default 200)")
+    parser.add_argument("--seed", type=int, default=0, help="sweep seed (default 0)")
+    parser.add_argument("-o", "--out", default="-", metavar="PATH",
+                        help="CSV output path ('-' for stdout)")
+
+
+def _power_compare_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--frames", type=int, default=1000, metavar="N",
+                        help="frames to decode under each scheme (default 1000)")
+    parser.add_argument("--ebno", type=float, default=4.0, metavar="DB",
+                        help="channel Eb/N0 in dB (default 4)")
+    parser.add_argument("--seed", type=int, default=0, help="run seed (default 0)")
+    parser.add_argument("-o", "--out", default="-", metavar="PATH",
+                        help="CSV output path ('-' for stdout)")
 
 
 def _resolve_spec(args: argparse.Namespace) -> CodeSpec:
@@ -209,9 +226,7 @@ def _format_frames(frames: Sequence[Sequence[int]]) -> bytes:
 
 def _write(path: str, data: bytes) -> None:
     if path == "-":
-        if sys.stdout is None:
-            raise CliError("cannot write stdout: it is closed")
-        sys.stdout.buffer.write(data)
+        _write_stdout(data)
         return
     target, tmp = os.path.abspath(path), None
     try:
@@ -223,6 +238,22 @@ def _write(path: str, data: bytes) -> None:
         if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
         raise CliError(f"cannot write {path}: {exc.strerror}") from exc
+
+
+def _write_stdout(data: bytes) -> None:
+    """Write and flush, so that a reader that went away is reported here, as
+    one line, and not as a traceback or at exit."""
+    if sys.stdout is None:
+        raise CliError("cannot write stdout: it is closed")
+    try:
+        sys.stdout.buffer.write(data)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # what is still buffered would fail again in the flush at exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise CliError("cannot write stdout: broken pipe") from None
 
 
 def _spec_summary(spec: CodeSpec) -> str:
@@ -357,16 +388,30 @@ _COMMANDS = {
 }
 
 
+# each command's help line and the function that adds its arguments, in help order
+_ARGUMENTS = {
+    "encode": ("encode payload frames", _io_arguments),
+    "decode": ("Viterbi-decode coded frames to payloads", _decode_arguments),
+    "oracle-decode": ("exhaustive ML decode (small codes only)", _io_arguments),
+    "inject-errors": ("flip fixed bit positions per frame", _inject_errors_arguments),
+    "ber-sweep": ("Monte-Carlo BER sweep over Eb/N0", _ber_sweep_arguments),
+    "power-compare": ("survivor-activity comparison of both schemes",
+                      _power_compare_arguments),
+}
+
+
 def run(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # --version/--help or usage errors
-        return int(exc.code or 0)
-    try:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:  # --version/--help or usage errors
+            if exc.code == 0 and sys.stdout is not None:
+                _write_stdout(b"")  # argparse printed --help or --version unflushed
+            return int(exc.code or 0)
         spec = _resolve_spec(args)
         if args.spec_dump:
-            print(_spec_summary(spec))
+            _write_stdout(f"{_spec_summary(spec)}\n".encode())
             return 0
         if args.command is None:
             parser.print_usage(sys.stderr)

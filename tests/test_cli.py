@@ -4,6 +4,7 @@ import argparse
 import io
 import os
 import random
+import re
 import resource
 import subprocess
 import sys
@@ -611,3 +612,96 @@ def test_version_then_spec_dump(capsys):
     assert capsys.readouterr().out == (
         "constraint_length=7 generators_octal=171,133 frame_stages=40 "
         "payload_bits=34 tail_bits=6 states=64\n")
+
+
+def test_each_subcommand_parser_is_built_when_first_selected(tmp_path, payload_file,
+                                                             monkeypatch):
+    payloads, _ = payload_file
+    coded, decoded = tmp_path / "coded.txt", tmp_path / "decoded.txt"
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli.build_parser.cache_clear()
+    new = []
+    for argv in (["--spec-dump"],
+                 ["encode", "-i", str(payloads), "-o", str(coded)],
+                 ["encode", "-i", str(payloads), "-o", str(coded)],
+                 ["decode", "-i", str(coded), "-o", str(decoded)]):
+        before = len(built)
+        assert run(argv) == 0
+        new.append(len(built) - before)
+    assert new == [1, 1, 0, 1]
+    assert built == ["convfec", "convfec encode", "convfec decode"]
+
+
+_COMMAND_HELP = {
+    "encode": "encode payload frames",
+    "decode": "Viterbi-decode coded frames to payloads",
+    "oracle-decode": "exhaustive ML decode (small codes only)",
+    "inject-errors": "flip fixed bit positions per frame",
+    "ber-sweep": "Monte-Carlo BER sweep over Eb/N0",
+    "power-compare": "survivor-activity comparison of both schemes",
+}
+_IO_OPTIONS = ["-i", "--in", "-o", "--out"]
+_COMMAND_OPTIONS = {
+    "encode": _IO_OPTIONS,
+    "decode": [*_IO_OPTIONS, "--scheme", "--activity"],
+    "oracle-decode": _IO_OPTIONS,
+    "inject-errors": [*_IO_OPTIONS, "--positions"],
+    "ber-sweep": ["--ebno", "--min-bits", "--max-bits", "--stop-errors", "--seed",
+                  "-o", "--out"],
+    "power-compare": ["--frames", "--ebno", "--seed", "-o", "--out"],
+}
+
+
+def test_top_level_help_lists_every_command(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(["--help"]) == 0
+    out = capsys.readouterr().out
+    listed = re.findall(r"^    (\S+) +(.+)$", out, re.MULTILINE)
+    assert listed == list(_COMMAND_HELP.items())
+
+
+@pytest.mark.parametrize("command", list(_COMMAND_OPTIONS))
+def test_command_help_names_every_option(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run([command, "--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: convfec {command} ")
+    for option in ["-h", "--help", *_COMMAND_OPTIONS[command]]:
+        assert re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", out), option
+
+
+@pytest.mark.parametrize("argv, unbuffered", [
+    *[(argv, unbuffered) for unbuffered in (False, True) for argv in (
+        ["--spec-dump"],
+        ["encode", "-i", "{payloads}", "-o", "-"],
+        ["ber-sweep", "--ebno", "4", "--min-bits", "0", "--max-bits", "100"],
+    )],
+    # unbuffered, argparse's own write of --help drops the error and exits 0
+    (["--help"], False),
+], ids=lambda value: ("buffered", "unbuffered")[value] if isinstance(value, bool) else value[0])
+def test_a_reader_that_went_away_is_one_line(tmp_path, argv, unbuffered):
+    # a closed read end: each write to stdout fails with EPIPE, in the command's
+    # own write or, for output still buffered, in the flush at exit
+    payloads = tmp_path / "payloads.txt"
+    payloads.write_bytes((b"0" * 34 + b"\n") * 2000)
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(SRC)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "convfec", *[a.format(payloads=payloads) for a in argv]],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (
+        1, b"convfec: error: cannot write stdout: broken pipe\n")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import numpy as np
@@ -357,3 +358,28 @@ def test_register_exchange_spans_several_words():
     re_bits, re_metrics = decode_frames(received, trellis, REGISTER_EXCHANGE)
     assert np.array_equal(tb_bits, re_bits)
     assert np.array_equal(tb_metrics, re_metrics)
+
+
+# SHA-256 over decode_frames' bits, metrics and bit dtype for both schemes, five
+# code shapes and eight batch sizes: odd and even K, L below and at a 64-bit
+# word edge, and batches of 0, 1, word-edge and multi-block sizes
+_EQUIVALENCE_DIGEST = "22b2273f373c3ece5f5815a2565430c07dca37331aeb1637b965121a87953a55"
+
+
+def test_decode_frames_equivalence_digest():
+    digest = hashlib.sha256()
+    specs = [CodeSpec.from_octal("7,5", 3, 5), CodeSpec.from_octal("23,35", 5, 62),
+             CodeSpec.from_octal("23,35", 5, 63), DEFAULT_SPEC,
+             CodeSpec.from_octal("561,753", 9, 40)]
+    for spec in specs:
+        trellis = build_trellis(spec)
+        k, stages = spec.constraint_length, spec.frame_stages
+        for n in (0, 1, 7, 8, 9, 13, 300, 2049):
+            coded = np.random.default_rng(n + k + stages).integers(
+                0, 2, (n, 2 * stages), np.uint8)
+            for scheme in (TRACEBACK, REGISTER_EXCHANGE):
+                bits, metrics = decode_frames(coded, trellis, scheme)
+                digest.update(bits.tobytes())
+                digest.update(metrics.tobytes())
+                digest.update(str(bits.dtype).encode())
+    assert digest.hexdigest() == _EQUIVALENCE_DIGEST
