@@ -14,6 +14,7 @@ import argparse
 import functools
 import math
 import os
+import stat
 import sys
 import tempfile
 from typing import Callable, Sequence
@@ -52,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     line selects it.  ``parse_args`` makes a fresh namespace and checks
     ``required`` and ``choices`` on each call, so :func:`run` can reuse the
     tree; callers must not mutate it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="convfec",
         description=(
             "Rate-1/2 convolutional coding toolkit. Default code: K=7, "
@@ -80,9 +81,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", metavar="command",
                                 parser_class=_DeferredParser)
-    for name, (help_text, add_arguments) in _ARGUMENTS.items():
+    for name, (help_text, add_arguments, _) in _COMMANDS.items():
         sub.add_parser(name, help=help_text, add_arguments=add_arguments)
     return parser
+
+
+class _Parser(argparse.ArgumentParser):
+    """Prints help and version text through :func:`_write_stdout`; argparse's
+    own writer would drop a failed write and exit 0."""
+
+    def _print_message(self, message: str, file=None) -> None:
+        if message and file is sys.stdout:
+            _write_stdout(message.encode())
+        else:
+            super()._print_message(message, file)
 
 
 class _DeferredParser:
@@ -99,7 +111,7 @@ class _DeferredParser:
 
     def __getattr__(self, name: str):  # reached only for names this object lacks
         if self._parser is None:
-            self._parser = argparse.ArgumentParser(**self._kwargs)
+            self._parser = _Parser(**self._kwargs)
             self._add_arguments(self._parser)
         return getattr(self._parser, name)
 
@@ -225,15 +237,29 @@ def _format_frames(frames: Sequence[Sequence[int]]) -> bytes:
 
 
 def _write(path: str, data: bytes) -> None:
+    """Write ``data`` to stdout ('-') or to ``path``.  A regular file is replaced
+    whole by a rename, so no reader sees part of it; it keeps an existing file's
+    mode, else ``0o666`` less the umask.  A FIFO or a device is written in place."""
     if path == "-":
         _write_stdout(data)
         return
     target, tmp = os.path.abspath(path), None
     try:
+        try:
+            mode = os.stat(target).st_mode
+        except FileNotFoundError:
+            umask = os.umask(0)  # reading the umask means setting it
+            os.umask(umask)
+            mode = stat.S_IFREG | 0o666 & ~umask
+        if not stat.S_ISREG(mode):
+            with open(target, "wb") as fp:
+                fp.write(data)
+            return
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".convfec-")
         with os.fdopen(fd, "wb") as fp:
+            os.fchmod(fd, stat.S_IMODE(mode))
             fp.write(data)
-        os.replace(tmp, target)  # no partial output files
+        os.replace(tmp, target)
     except OSError as exc:
         if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
@@ -267,14 +293,13 @@ def _spec_summary(spec: CodeSpec) -> str:
     )
 
 
-def _cmd_encode(args: argparse.Namespace, spec: CodeSpec) -> int:
+def _cmd_encode(args: argparse.Namespace, spec: CodeSpec) -> None:
     trellis = build_trellis(spec)
     payloads = _read_frames(args.input, spec.payload_length, "payload")
     _write(args.output, _format_frames(encode_frames(payloads, trellis)))
-    return 0
 
 
-def _cmd_decode(args: argparse.Namespace, spec: CodeSpec) -> int:
+def _cmd_decode(args: argparse.Namespace, spec: CodeSpec) -> None:
     trellis = build_trellis(spec)
     frames = _read_frames(args.input, 2 * spec.frame_stages, "coded")
     scheme = TRACEBACK if args.scheme == "traceback" else REGISTER_EXCHANGE
@@ -283,10 +308,9 @@ def _cmd_decode(args: argparse.Namespace, spec: CodeSpec) -> int:
     if args.activity is not None:
         report = ActivityReport.for_frames(spec, scheme, len(frames))
         _write(args.activity, _activity_csv(len(frames), [report]).encode())
-    return 0
 
 
-def _cmd_oracle_decode(args: argparse.Namespace, spec: CodeSpec) -> int:
+def _cmd_oracle_decode(args: argparse.Namespace, spec: CodeSpec) -> None:
     if spec.payload_length > MAX_PAYLOAD_BITS:
         raise CliError(
             f"oracle-decode enumerates 2^{spec.payload_length} payloads; "
@@ -295,17 +319,15 @@ def _cmd_oracle_decode(args: argparse.Namespace, spec: CodeSpec) -> int:
     frames = _read_frames(args.input, 2 * spec.frame_stages, "coded")
     payloads = [result.best_payload for result in ml_decode_frames(frames, spec)]
     _write(args.output, _format_frames(payloads))
-    return 0
 
 
-def _cmd_inject_errors(args: argparse.Namespace, spec: CodeSpec) -> int:
+def _cmd_inject_errors(args: argparse.Namespace, spec: CodeSpec) -> None:
     try:
         positions = {int(p) for p in args.positions.split(",") if p.strip() != ""}
     except ValueError:
         raise CliError(f"--positions must be comma-separated integers, got {args.positions!r}")
     frames = _read_frames(args.input, 2 * spec.frame_stages, "coded")
     _write(args.output, _format_frames(inject_errors(frames, positions)))
-    return 0
 
 
 def _parse_ebno(text: str) -> tuple[float, ...]:
@@ -346,7 +368,7 @@ def _parse_bit_count(text: str, flag: str) -> int:
     return value
 
 
-def _cmd_ber_sweep(args: argparse.Namespace, spec: CodeSpec) -> int:
+def _cmd_ber_sweep(args: argparse.Namespace, spec: CodeSpec) -> None:
     ebno = _parse_ebno(args.ebno)
     low = _parse_bit_count(args.min_bits, "--min-bits")
     high = _parse_bit_count(args.max_bits, "--max-bits")
@@ -359,68 +381,48 @@ def _cmd_ber_sweep(args: argparse.Namespace, spec: CodeSpec) -> int:
     cfg = SweepConfig(ebno_points=ebno, min_info_bits=low, max_info_bits=high,
                       stop_at_errors=args.stop_errors, seed=args.seed, spec=spec)
     _write(args.out, format_ber_csv(ber_sweep(cfg)).encode())
-    return 0
 
 
-def _cmd_power_compare(args: argparse.Namespace, spec: CodeSpec) -> int:
+def _cmd_power_compare(args: argparse.Namespace, spec: CodeSpec) -> None:
     if args.frames < 0:
         raise CliError("--frames must be nonnegative")
     bits = args.frames * spec.payload_length
-    cfg = SweepConfig(
-        ebno_points=(args.ebno,),
-        min_info_bits=bits,
-        max_info_bits=bits,
-        stop_at_errors=0,
-        seed=args.seed,
-        spec=spec,
-    )
+    cfg = SweepConfig(ebno_points=(args.ebno,), min_info_bits=bits, max_info_bits=bits,
+                      stop_at_errors=0, seed=args.seed, spec=spec)
     _write(args.out, format_power_csv(power_compare(cfg)).encode())
-    return 0
 
 
+# each command's help line, argument adder and handler, in help order
 _COMMANDS = {
-    "encode": _cmd_encode,
-    "decode": _cmd_decode,
-    "oracle-decode": _cmd_oracle_decode,
-    "inject-errors": _cmd_inject_errors,
-    "ber-sweep": _cmd_ber_sweep,
-    "power-compare": _cmd_power_compare,
-}
-
-
-# each command's help line and the function that adds its arguments, in help order
-_ARGUMENTS = {
-    "encode": ("encode payload frames", _io_arguments),
-    "decode": ("Viterbi-decode coded frames to payloads", _decode_arguments),
-    "oracle-decode": ("exhaustive ML decode (small codes only)", _io_arguments),
-    "inject-errors": ("flip fixed bit positions per frame", _inject_errors_arguments),
-    "ber-sweep": ("Monte-Carlo BER sweep over Eb/N0", _ber_sweep_arguments),
+    "encode": ("encode payload frames", _io_arguments, _cmd_encode),
+    "decode": ("Viterbi-decode coded frames to payloads", _decode_arguments, _cmd_decode),
+    "oracle-decode": ("exhaustive ML decode (small codes only)", _io_arguments,
+                      _cmd_oracle_decode),
+    "inject-errors": ("flip fixed bit positions per frame", _inject_errors_arguments,
+                      _cmd_inject_errors),
+    "ber-sweep": ("Monte-Carlo BER sweep over Eb/N0", _ber_sweep_arguments, _cmd_ber_sweep),
     "power-compare": ("survivor-activity comparison of both schemes",
-                      _power_compare_arguments),
+                      _power_compare_arguments, _cmd_power_compare),
 }
 
 
 def run(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
-        try:
-            args = parser.parse_args(argv)
-        except SystemExit as exc:  # --version/--help or usage errors
-            if exc.code == 0 and sys.stdout is not None:
-                _write_stdout(b"")  # argparse printed --help or --version unflushed
-            return int(exc.code or 0)
+        args = parser.parse_args(argv)
         spec = _resolve_spec(args)
         if args.spec_dump:
             _write_stdout(f"{_spec_summary(spec)}\n".encode())
-            return 0
-        if args.command is None:
-            parser.print_usage(sys.stderr)
-            print("convfec: error: a command is required", file=sys.stderr)
-            return 2
-        return _COMMANDS[args.command](args, spec)
+        elif args.command is None:
+            parser.error("a command is required")
+        else:
+            _COMMANDS[args.command][2](args, spec)
+    except SystemExit as exc:  # --help, --version and usage errors
+        return int(exc.code or 0)
     except (CliError, ValueError) as exc:
         print(f"convfec: error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 def main() -> None:

@@ -6,6 +6,7 @@ import os
 import random
 import re
 import resource
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -460,6 +461,40 @@ def test_missing_output_directory_is_one_line(tmp_path, payload_file, capsys, co
     assert not (tmp_path / "missing").exists()
 
 
+def test_output_files_get_the_umask_mode_or_keep_their_own(tmp_path, payload_file):
+    payloads, _ = payload_file
+    new, kept = tmp_path / "new.txt", tmp_path / "kept.txt"
+    kept.write_bytes(b"")
+    kept.chmod(0o604)
+    old_umask = os.umask(0o027)
+    try:
+        assert run(["encode", "-i", str(payloads), "-o", str(new)]) == 0
+        assert run(["encode", "-i", str(payloads), "-o", str(kept)]) == 0
+    finally:
+        os.umask(old_umask)
+    assert stat.S_IMODE(new.stat().st_mode) == 0o640
+    assert stat.S_IMODE(kept.stat().st_mode) == 0o604
+    assert kept.read_bytes() == new.read_bytes() != b""
+
+
+def test_a_fifo_output_is_written_in_place(tmp_path, payload_file):
+    payloads, _ = payload_file
+    fifo, regular = tmp_path / "fifo", tmp_path / "regular.txt"
+    os.mkfifo(fifo)
+    # opened first and non-blocking, so that run's open for writing does not wait
+    # and a FIFO replaced by a regular file reads as empty instead of hanging
+    read_end = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert run(["encode", "-i", str(payloads), "-o", str(fifo)]) == 0
+        received = os.read(read_end, 1 << 16)
+    finally:
+        os.close(read_end)
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert run(["encode", "-i", str(payloads), "-o", str(regular)]) == 0
+    assert received == regular.read_bytes() != b""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "payloads.txt", "regular.txt"]
+
+
 def test_power_compare_csv(tmp_path):
     out = tmp_path / "power.csv"
     assert run(["power-compare", "--frames", "2", "--ebno", "4", "--seed", "7",
@@ -502,7 +537,8 @@ def test_stdin_stdout_pipes(monkeypatch, capsys):
 @pytest.mark.parametrize("stream, argv, message", [
     ("stdin", ["inject-errors", "--positions", "0"], "cannot read stdin: it is closed"),
     ("stdout", ["encode", "-i", "{payloads}"], "cannot write stdout: it is closed"),
-], ids=["stdin", "stdout"])
+    ("stdout", ["--help"], "cannot write stdout: it is closed"),
+], ids=["stdin", "stdout", "stdout-help"])
 def test_closed_stdio_is_one_line(capsys, monkeypatch, payload_file, stream, argv, message):
     # a process started with the stream closed ('<&-', '>&-') has it set to None;
     # capsys comes first so that monkeypatch restores its stream before capsys ends
@@ -678,13 +714,14 @@ def test_command_help_names_every_option(capsys, monkeypatch, command):
 
 
 @pytest.mark.parametrize("argv, unbuffered", [
-    *[(argv, unbuffered) for unbuffered in (False, True) for argv in (
+    (argv, unbuffered) for unbuffered in (False, True) for argv in (
         ["--spec-dump"],
         ["encode", "-i", "{payloads}", "-o", "-"],
         ["ber-sweep", "--ebno", "4", "--min-bits", "0", "--max-bits", "100"],
-    )],
-    # unbuffered, argparse's own write of --help drops the error and exits 0
-    (["--help"], False),
+        ["--help"],
+        ["--version"],
+        ["decode", "--help"],
+    )
 ], ids=lambda value: ("buffered", "unbuffered")[value] if isinstance(value, bool) else value[0])
 def test_a_reader_that_went_away_is_one_line(tmp_path, argv, unbuffered):
     # a closed read end: each write to stdout fails with EPIPE, in the command's

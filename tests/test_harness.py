@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 from collections import Counter
 
@@ -201,7 +202,7 @@ def test_power_compare_names_the_disagreeing_frame_across_batches(monkeypatch):
     _spy_on_decode_frames(monkeypatch, flip_frame=2100)
     bits = 2500 * 34
     cfg = SweepConfig((4.0,), min_info_bits=bits, max_info_bits=bits, stop_at_errors=0, seed=3)
-    with pytest.raises(RuntimeError, match=r"survivor schemes disagree on frame 2100: "):
+    with pytest.raises(RuntimeError, match=r"^survivor schemes disagree on frame 2100: bit 0$"):
         power_compare(cfg)
 
 
@@ -210,6 +211,22 @@ def test_power_compare_frame_count_ignores_the_stop_rule(monkeypatch):
     cfg = SweepConfig((4.0,), min_info_bits=0, max_info_bits=2500 * 34, stop_at_errors=0, seed=3)
     assert power_compare(cfg).frames == 2500
     assert seen == {TRACEBACK: 2500, REGISTER_EXCHANGE: 2500}
+
+
+def test_sweep_and_power_csv_digest():
+    # CSV bytes only: three code shapes (K=9 included), both stop reasons, and
+    # power runs of 400, 5000 (three batches) and 3 frames
+    digest = hashlib.sha256()
+    for cfg in (SweepConfig((0.0, 2.0, 4.0, 6.0), 100000, 200000, 200, 5),
+                SweepConfig((-5.0, 12.0), 0, 50000, 200, 1),
+                SweepConfig((0.0, 3.0, 6.0), 0, 20000, 100, 2, CodeSpec.from_octal("7,5", 3, 5)),
+                SweepConfig((4.0,), 0, 30000, 0, 3, CodeSpec.from_octal("561,753", 9, 40))):
+        digest.update(format_ber_csv(ber_sweep(cfg)).encode())
+    for frames, seed in ((400, 1), (5000, 2), (3, 7)):
+        cfg = SweepConfig((4.0,), 0, frames * 34, 0, seed)
+        digest.update(format_power_csv(power_compare(cfg)).encode())
+    assert digest.hexdigest() == (
+        "919e0f39303a868cf6b178f6802eef19321a918395ca76c6904f988114abf7cd")
 
 
 def test_ber_csv_format():
