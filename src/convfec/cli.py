@@ -237,13 +237,15 @@ def _format_frames(frames: Sequence[Sequence[int]]) -> bytes:
 
 
 def _write(path: str, data: bytes) -> None:
-    """Write ``data`` to stdout ('-') or to ``path``.  A regular file is replaced
-    whole by a rename, so no reader sees part of it; it keeps an existing file's
-    mode, else ``0o666`` less the umask.  A FIFO or a device is written in place."""
+    """Write ``data`` to stdout ('-') or to ``path``, through a symlink to its target.  A
+    regular file is replaced whole by a rename, so no reader sees part of it; it keeps an
+    existing file's mode, else ``0o666`` less the umask.  A FIFO or device is written in place."""
     if path == "-":
         _write_stdout(data)
         return
     target, tmp = os.path.abspath(path), None
+    if os.path.islink(target):  # realpath alone would lstat every component of every path
+        target = os.path.realpath(target)
     try:
         try:
             mode = os.stat(target).st_mode

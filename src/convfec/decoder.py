@@ -22,9 +22,6 @@ REGISTER_EXCHANGE = "register-exchange"
 # stage words and registers stay cache-sized; clamped to 256 ... 2048 frames
 _BLOCK_STATE_FRAMES = 2048 * 64
 
-_SYMBOL_HAMMING = np.array(  # Hamming distance between packed 2-bit symbols
-    [[bin(a ^ b).count("1") for b in range(4)] for a in range(4)], dtype=np.uint8)
-
 
 def _sentinel(dtype: np.dtype) -> int:  # unreachable: a sentinel plus one branch (at most 2) still fits
     return int(np.iinfo(dtype).max) - 2
@@ -54,23 +51,31 @@ class ActivityReport:
         raise ValueError(f"unknown survivor scheme {scheme!r}")
 
 
-def _acs_kernel(rsym: np.ndarray, trellis: Trellis) -> tuple[np.ndarray, np.ndarray]:
-    """ACS from state 0 over ``(T, n)`` packed symbols.  Returns the final
+def _acs_kernel(rows: np.ndarray, trellis: Trellis) -> tuple[np.ndarray, np.ndarray]:
+    """ACS from state 0 over ``(n, 2T)`` coded bit rows.  Returns the final
     ``(S, n)`` metrics and ``(T, S, ceil(n / 8))`` stage words, frame ``i`` at
     bit ``i % 8``.  States ``j``, ``j + S/2`` feed ``2j``, ``2j + 1`` (one
     butterfly per stage); ties keep the lower predecessor.
+
+    The branch distances ``d[t, e, i]``, time-major so that a stage gathers one
+    contiguous block, come from the first and second bit planes ``a``, ``b``:
+    ``d00 = a + b``, ``d01 = a - b + 1``, ``d10 = 2 - d01``, ``d11 = 2 - d00``.
 
     Warm-up: before stage ``t < K-1`` only states ``s < 2^t`` are reachable,
     all in the lower half, so every state's survivor is its lower predecessor
     (an unreachable pair ties) and the word stays 0.  Only rows ``:2^(t+1)``
     change; the rest keep the sentinel.  From stage K-1 on every state is
     reachable and the full butterfly runs."""
-    stages, n = rsym.shape
+    n, stages = rows.shape[0], rows.shape[1] // 2
     states, half = trellis.num_states, trellis.num_states >> 1
     # the narrowest type whose sentinel exceeds 2L, the largest reachable metric (int8 to L = 62)
     dtype = next(t for t in (np.int8, np.int16, np.int32) if 2 * stages < _sentinel(t))
-    # d[t, e, i]: distance to symbol e, time-major so a stage gathers one contiguous block
-    d = np.take(_SYMBOL_HAMMING.astype(dtype), rsym, axis=0).swapaxes(1, 2).copy()
+    a, b = np.ascontiguousarray(rows.T, dtype=dtype).reshape(stages, 2, n).swapaxes(0, 1)
+    d = np.empty((stages, 4, n), dtype=dtype)
+    np.add(a, b, out=d[:, 0])
+    np.subtract(a, b, out=d[:, 1])
+    d[:, 1] += 1
+    np.subtract(2, d[:, 1::-1], out=d[:, 2:])
     table = trellis.symbol_table.astype(np.intp)
     metric = np.full((states, n), _sentinel(dtype), dtype=dtype)
     metric[0] = 0
@@ -121,21 +126,27 @@ def _register_exchange(words: np.ndarray, trellis: Trellis, frames: int) -> np.n
     state copies its winner's ``t`` rows written so far, the stage word's bits
     selecting frame by frame, and sets row ``t`` to its LSB.  Two register
     buffers swap each stage: the copies go from one into the other.  One unpack
-    of state 0's register after the last stage gives the decoded bits."""
+    of state 0's register after the last stage gives the decoded bits.
+
+    In the last K-1 stages only the states that the zero tail still leads to
+    state 0 are updated (Forney 1973): after stage ``t`` these are the even
+    states ``k * S / 2^(L-1-t)``, read from their predecessors as strided views."""
     _check_words(words, trellis, frames)
     stages, states, nbytes = words.shape
-    half = states >> 1
+    half, k = states >> 1, trellis.spec.constraint_length
     regs, spare = np.zeros((2, states, stages, nbytes), dtype=np.uint8)
     for t in range(stages):
-        # states 2j, 2j+1 follow j or j+S/2: lower ^ (diff & word bit), with the word
-        # repeated over the t rows so that each op runs over contiguous t * nbytes spans
-        lower = regs[:half, np.newaxis, :t]
-        diff = lower ^ regs[half:, np.newaxis, :t]
-        mask = np.repeat(words[t].reshape(half, 2, 1, nbytes), t, axis=2)
-        out = spare.reshape(half, 2, stages, nbytes)[:, :, :t]
-        np.bitwise_and(mask, diff, out=out)
+        # states 2j, 2j+1 follow j or j+S/2: lower ^ (diff & word bit), the word copied
+        # over the t rows of the output first, so that no mask array is allocated;
+        # in the tail only the even state 2j of every step-th butterfly j reaches state 0
+        step, width = max(1, half >> (stages - 1 - t)), 1 if stages - t < k else 2
+        lower = regs[:half:step, np.newaxis, :t]
+        succ = spare.reshape(half, 2, stages, nbytes)[::step]
+        out = succ[:, :width, :t]
+        out[...] = words[t].reshape(half, 2, 1, nbytes)[::step, :width]
+        out &= lower ^ regs[half::step, np.newaxis, :t]
         out ^= lower
-        spare[1::2, t] = 0xFF  # row t of the even states is still 0: never written
+        succ[:, 1:width, t] = 0xFF  # row t of the even states is still 0: never written
         regs, spare = spare, regs
     return np.unpackbits(regs[0], axis=1, count=frames, bitorder="little").T
 
@@ -162,13 +173,12 @@ def decode_frames(coded: np.ndarray, trellis: Trellis,
     memory = _SURVIVOR_MEMORIES.get(scheme)
     if memory is None:
         raise ValueError(f"unknown survivor scheme {scheme!r}")
-    rsym = ((arr[:, 0::2] << 1) | arr[:, 1::2]).T
     decoded = np.empty((len(arr), spec.frame_stages), dtype=np.uint8)
     final_metrics = np.empty(len(arr), dtype=np.int64)
     block_frames = min(2048, max(256, _BLOCK_STATE_FRAMES // spec.num_states))
     for lo in range(0, len(arr), block_frames):
         block = slice(lo, lo + block_frames)
-        metric, words = _acs_kernel(rsym[:, block], trellis)
+        metric, words = _acs_kernel(arr[block], trellis)
         final_metrics[block] = metric[0]
         decoded[block] = memory(words, trellis, metric.shape[1])
     _check_terminal(final_metrics, spec.frame_stages)

@@ -18,8 +18,9 @@ def encode_frames(payloads: np.ndarray, trellis: Trellis) -> np.ndarray:
     Returns the coded frames as a ``(n, 2 * frame_stages)`` uint8 array, the
     K-1 zero tail included.  Bit order per stage: first generator's bit, then
     the second generator's.
-    Every stage's K-bit register is built at once from K shifted copies of
-    the inputs, and one gather from a bit-pair table gives every coded bit.
+    Every stage's K-bit register is built at once by ORing in K windows of the
+    inputs times their weights ``2^j`` (numpy's uint ``*`` beats its ``<<``), and
+    one gather from a bit-pair table gives every coded bit.
     """
     spec = trellis.spec
     bits = bit_rows(payloads, spec.payload_length, "payloads")
@@ -30,7 +31,7 @@ def encode_frames(payloads: np.ndarray, trellis: Trellis) -> np.ndarray:
     inputs[:, k - 1 : k - 1 + spec.payload_length] = bits
     reg = np.zeros((n, stages), dtype=dtype)  # reg[:, t] = 2 * state + input at stage t
     for j in range(k):  # bit j of a register is the input j stages back
-        reg |= inputs[:, k - 1 - j : k - 1 - j + stages] << j
+        reg |= inputs[:, k - 1 - j : k - 1 - j + stages] * (1 << j)
     state = reg[:, -1] % trellis.num_states
     stuck = np.flatnonzero(state)
     if stuck.size:

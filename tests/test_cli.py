@@ -495,6 +495,20 @@ def test_a_fifo_output_is_written_in_place(tmp_path, payload_file):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "payloads.txt", "regular.txt"]
 
 
+def test_a_symlinked_output_writes_its_target(tmp_path):
+    payloads, link, real = tmp_path / "p.txt", tmp_path / "link.txt", tmp_path / "real.txt"
+    payloads.write_text("1" * 34 + "\n")
+    real.write_bytes(b"old\n")
+    real.chmod(0o604)
+    link.symlink_to(real.name)
+    assert run(["encode", "-i", str(payloads), "-o", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == "real.txt"
+    data = real.read_bytes()
+    assert len(data) == 81 and data.endswith(b"\n") and set(data[:80]) <= set(b"01")
+    assert stat.S_IMODE(real.stat().st_mode) == 0o604
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "p.txt", "real.txt"]
+
+
 def test_power_compare_csv(tmp_path):
     out = tmp_path / "power.csv"
     assert run(["power-compare", "--frames", "2", "--ebno", "4", "--seed", "7",

@@ -34,7 +34,7 @@ def _noisy_frames(trellis, n, ebno_db, seed):
 
 
 def test_acs_first_stage_from_reset(default_trellis):
-    metric, words = _acs_kernel(np.zeros((1, 1), dtype=np.uint8), default_trellis)
+    metric, words = _acs_kernel(np.zeros((1, 2), dtype=np.uint8), default_trellis)
     reachable = metric[:, 0] < _sentinel(metric.dtype)
     assert list(np.flatnonzero(reachable)) == [0, 1]
     assert metric[0, 0] == 0
@@ -47,11 +47,10 @@ def test_survivor_memory_write_contract(default_trellis):
     # first t+1 symbols has already produced stage words 0..t exactly as the
     # full frame leaves them, and a frame holds exactly 40 words of 64 bits
     _, received = _noisy_frames(default_trellis, 19, ebno_db=0.0, seed=5)
-    rsym = (received[:, 0::2] << 1 | received[:, 1::2]).T
-    _, words = _acs_kernel(rsym, default_trellis)
+    _, words = _acs_kernel(received, default_trellis)
     assert words.shape == (40, 64, 3)
     for t in (0, 5, 6, 20, 39):
-        _, prefix = _acs_kernel(rsym[: t + 1], default_trellis)
+        _, prefix = _acs_kernel(received[:, : 2 * (t + 1)], default_trellis)
         assert np.array_equal(prefix, words[: t + 1])
     writes = ActivityReport.for_frames(default_trellis.spec, TRACEBACK, 1).survivor_bit_writes
     assert writes == words.shape[0] * words.shape[1] == 64 * 40
@@ -124,13 +123,20 @@ def test_traceback_reads_each_frames_own_bit(default_trellis):
     CodeSpec.from_octal("3,1", constraint_length=2, frame_stages=3),
     CodeSpec.from_octal("23,35", constraint_length=5, frame_stages=5),
     CodeSpec.from_octal("23,35", constraint_length=5, frame_stages=6),
-], ids=["k3", "k5", "default", "k9", "default-L41", "k2-L2", "k2-L3", "k5-L5", "k5-L6"])
+    CodeSpec.from_octal("171,133", constraint_length=7, frame_stages=7),
+    CodeSpec.from_octal("171,133", constraint_length=7, frame_stages=12),
+    CodeSpec.from_octal("561,753", constraint_length=9, frame_stages=9),
+], ids=["k3", "k5", "default", "k9", "default-L41", "k2-L2", "k2-L3", "k5-L5", "k5-L6",
+        "default-L7", "default-L12", "k9-L9"])
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 300, 400, 2048])
 def test_survivor_memories_agree_on_arbitrary_words(spec, n):
     # any stage words, not only the kernel's: both memories walk the same
     # survivor choices, and neither reads the padding bits of a last byte.
     # Register exchange swaps two buffers each stage, so frames of both
-    # parities (L = 40 and 41, L = K and K+1) end in either buffer.
+    # parities (L = 40 and 41, L = K and K+1) end in either buffer.  Its last
+    # K-1 stages update only the states that still reach state 0; at L <= 2(K-1)
+    # they meet or overlap the first K-1, the ACS warm-up (L = 7 and 12 at K = 7,
+    # L = 9 at K = 9).
     trellis = build_trellis(spec)
     rng = np.random.default_rng(n * 31 + spec.constraint_length)
     words = rng.integers(0, 256, (spec.frame_stages, spec.num_states, -(-n // 8)), dtype=np.uint8)
@@ -179,10 +185,9 @@ def test_final_metric_is_distance_to_reencoded_decision(default_trellis):
 
 def test_metric_bound_holds_stage_by_stage(default_trellis):
     rng = random.Random(3)
-    rsym = np.array([[rng.randrange(2) << 1 | rng.randrange(2)] for _ in range(40)],
-                    dtype=np.uint8)
+    rows = np.array([[rng.randrange(2) for _ in range(80)]], dtype=np.uint8)
     for t in range(40):
-        metric, _ = _acs_kernel(rsym[: t + 1], default_trellis)
+        metric, _ = _acs_kernel(rows[:, : 2 * (t + 1)], default_trellis)
         reachable = metric[:, 0] < _sentinel(metric.dtype)
         assert int(metric[reachable, 0].max()) <= 2 * (t + 1)
 
@@ -330,9 +335,9 @@ def test_decoder_blocks_are_sized_by_state_count(monkeypatch, spec, frames, widt
     seen = []
     kernel = decoder._acs_kernel
 
-    def recording_kernel(rsym, trellis):
-        seen.append(rsym.shape[1])
-        return kernel(rsym, trellis)
+    def recording_kernel(rows, trellis):
+        seen.append(rows.shape[0])
+        return kernel(rows, trellis)
 
     monkeypatch.setattr(decoder, "_acs_kernel", recording_kernel)
     for scheme in (TRACEBACK, REGISTER_EXCHANGE):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from convfec.encoder import encode_frames
+from convfec.trellis import CodeSpec, build_trellis
 
 from reference import reference_encode
 
@@ -100,3 +101,19 @@ def test_batch_rejects_non_bits(default_trellis):
     payloads[1, 3] = 256  # would wrap to 0 under a bare uint8 cast
     with pytest.raises(ValueError, match="0/1"):
         encode_frames(payloads, default_trellis)
+
+
+@pytest.mark.parametrize("octal, k", [
+    ("247,371", 8),  # 2S = 256: the last uint8 register, bit 7 weighs 128
+    ("561,753", 9),  # the first uint16 register
+    ("104157,126235", 16),  # bit 15 weighs 2^15
+], ids=["k8", "k9", "k16"])
+def test_register_dtype_boundaries_match_reference(octal, k):
+    spec = CodeSpec.from_octal(octal, constraint_length=k, frame_stages=3 * k)
+    trellis = build_trellis(spec)
+    rng = np.random.default_rng(k)
+    random_payloads = rng.integers(0, 2, (20, spec.payload_length), dtype=np.uint8)
+    for payloads in (random_payloads, np.ones_like(random_payloads[:1])):
+        coded = encode_frames(payloads, trellis).tolist()
+        for payload, row in zip(payloads.tolist(), coded):
+            assert row == reference_encode(payload, spec)

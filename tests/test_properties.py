@@ -103,8 +103,7 @@ def _check_stage_words(spec: CodeSpec, words: np.ndarray) -> np.dtype:
     and every final metric equal :func:`reference_acs`, whose infinity is the
     kernel's sentinel.  Returns the kernel's metric dtype."""
     trellis = build_trellis(spec)
-    rsym = (words[:, 0::2] << 1 | words[:, 1::2]).T
-    metric, stage_words = _acs_kernel(rsym, trellis)
+    metric, stage_words = _acs_kernel(words, trellis)
     references: dict[tuple[int, ...], tuple[list[int], list[float]]] = {}
     for i, row in enumerate(words.tolist()):
         if tuple(row) not in references:  # repeated rows are checked against one run
