@@ -16,7 +16,6 @@ import math
 import os
 import stat
 import sys
-import tempfile
 from typing import Callable, Sequence
 
 import numpy as np
@@ -250,16 +249,21 @@ def _write(path: str, data: bytes) -> None:
         try:
             mode = os.stat(target).st_mode
         except FileNotFoundError:
-            umask = os.umask(0)  # reading the umask means setting it
-            os.umask(umask)
-            mode = stat.S_IFREG | 0o666 & ~umask
-        if not stat.S_ISREG(mode):
+            mode = None
+        if mode is not None and not stat.S_ISREG(mode):
             with open(target, "wb") as fp:
                 fp.write(data)
             return
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".convfec-")
+        while tmp is None:  # made 0o666, so the kernel applies the umask
+            name = os.path.join(os.path.dirname(target), f".convfec-{os.urandom(8).hex()}")
+            try:
+                fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_CLOEXEC, 0o666)
+            except FileExistsError:
+                continue
+            tmp = name
         with os.fdopen(fd, "wb") as fp:
-            os.fchmod(fd, stat.S_IMODE(mode))
+            if mode is not None:
+                os.fchmod(fd, stat.S_IMODE(mode))
             fp.write(data)
         os.replace(tmp, target)
     except OSError as exc:

@@ -65,7 +65,8 @@ def _acs_kernel(rows: np.ndarray, trellis: Trellis) -> tuple[np.ndarray, np.ndar
     all in the lower half, so every state's survivor is its lower predecessor
     (an unreachable pair ties) and the word stays 0.  Only rows ``:2^(t+1)``
     change; the rest keep the sentinel.  From stage K-1 on every state is
-    reachable and the full butterfly runs."""
+    reachable and the full butterfly runs on buffers allocated once per call:
+    candidates, survivor bits, and two metric arrays that swap each stage."""
     n, stages = rows.shape[0], rows.shape[1] // 2
     states, half = trellis.num_states, trellis.num_states >> 1
     # the narrowest type whose sentinel exceeds 2L, the largest reachable metric (int8 to L = 62)
@@ -85,11 +86,16 @@ def _acs_kernel(rows: np.ndarray, trellis: Trellis) -> tuple[np.ndarray, np.ndar
         live = 1 << t
         step = d[t].take(table[:2 * live], axis=0).reshape(live, 2, n)
         metric[:2 * live] = (metric[:live, np.newaxis] + step).reshape(2 * live, n)
-    for t in range(warmup, stages):
-        # cand[u, j, b]: the path into state 2j + b from predecessor j + u * S/2
-        cand = metric.reshape(2, half, 1, n) + d[t].take(table, axis=0).reshape(2, half, 2, n)
-        words[t] = np.packbits((cand[1] < cand[0]).reshape(states, n), axis=1, bitorder="little")
-        metric = np.minimum(cand[0], cand[1]).reshape(states, n)
+    # cand[u, j, b]: the path into state 2j + b from predecessor j + u * S/2
+    cand, upper = np.empty((2, half, 2, n), dtype=dtype), np.empty((half, 2, n), dtype=bool)
+    spare = np.empty_like(metric)
+    for t in range(warmup, stages):  # "clip" indexes as "raise" (symbols 0-3) but unbuffered
+        np.take(d[t], table, axis=0, out=cand.reshape(2 * states, n), mode="clip")
+        cand += metric.reshape(2, half, 1, n)
+        np.less(cand[1], cand[0], out=upper)
+        words[t] = np.packbits(upper.reshape(states, n), axis=1, bitorder="little")
+        np.minimum(cand[0], cand[1], out=spare.reshape(half, 2, n))
+        metric, spare = spare, metric
     return metric, words
 
 
@@ -104,19 +110,22 @@ def traceback(words: np.ndarray, trellis: Trellis, frames: int) -> np.ndarray:
     """Trace-back survivor memory: each frame's decoded bits, oldest first, walking
     back from state 0, where the zero tail ends every frame.  Before state ``s``
     comes ``s >> 1``, plus ``S/2`` when its survivor bit is 1.  That bit is the
-    predecessor's MSB, the input ``K - 1`` stages back, so stage ``t`` gives bit
-    ``t - (K-1)``; the last ``K - 1`` bits are the tail's zeros."""
+    predecessor's MSB, the input ``K - 1`` stages back, so stage ``t`` writes bit
+    ``t - (K-1)`` straight into its output row, and the state steps back in
+    place; the last ``K - 1`` bits are the tail's zeros."""
     _check_words(words, trellis, frames)
     stages, states, nbytes = words.shape
-    byte, shift = np.arange(frames) >> 3, np.arange(frames) & 7  # intp, so upper * S/2 cannot wrap
+    byte, shift = np.arange(frames) >> 3, (np.arange(frames) & 7).astype(np.uint8)
     flat = words.reshape(stages, -1)  # one 1-D take per stage, at state * nbytes + byte
     memory = trellis.spec.constraint_length - 1
     bits = np.zeros((stages, frames), dtype=np.uint8)  # bits L-(K-1) on are the zero tail
-    state = np.zeros(frames, dtype=np.intp)
+    state, top = np.zeros(frames, dtype=np.intp), np.intp(states >> 1)  # row * top stays intp
     for t in range(stages - 1, memory - 1, -1):
-        upper = (flat[t].take(state * nbytes + byte) >> shift) & 1
-        bits[t - memory] = upper
-        state = (state >> 1) + upper * (states >> 1)
+        row = bits[t - memory]  # the survivor bit, written in place
+        np.right_shift(flat[t].take(state * nbytes + byte), shift, out=row)
+        row &= 1
+        state >>= 1
+        state += row * top
     return bits.T
 
 
@@ -137,7 +146,8 @@ def _register_exchange(words: np.ndarray, trellis: Trellis, frames: int) -> np.n
     regs, spare = np.zeros((2, states, stages, nbytes), dtype=np.uint8)
     for t in range(stages):
         # states 2j, 2j+1 follow j or j+S/2: lower ^ (diff & word bit), the word copied
-        # over the t rows of the output first, so that no mask array is allocated;
+        # over the t rows of the output first, so that no mask array is allocated (an
+        # AND with the word broadcast over the rows is slower than this copy and diff);
         # in the tail only the even state 2j of every step-th butterfly j reaches state 0
         step, width = max(1, half >> (stages - 1 - t)), 1 if stages - t < k else 2
         lower = regs[:half:step, np.newaxis, :t]

@@ -477,6 +477,16 @@ def test_output_files_get_the_umask_mode_or_keep_their_own(tmp_path, payload_fil
     assert kept.read_bytes() == new.read_bytes() != b""
 
 
+def test_writing_a_new_output_never_sets_the_umask(tmp_path, payload_file, monkeypatch):
+    # setting it, even briefly, would change the mode of files other threads create meanwhile
+    payloads, _ = payload_file
+    calls, umask = [], os.umask
+    monkeypatch.setattr(os, "umask", lambda mask: calls.append(mask) or umask(mask))
+    assert run(["encode", "-i", str(payloads), "-o", str(tmp_path / "new.txt")]) == 0
+    assert (tmp_path / "new.txt").read_bytes() != b""
+    assert calls == []
+
+
 def test_a_fifo_output_is_written_in_place(tmp_path, payload_file):
     payloads, _ = payload_file
     fifo, regular = tmp_path / "fifo", tmp_path / "regular.txt"

@@ -143,6 +143,20 @@ def test_survivor_memories_agree_on_arbitrary_words(spec, n):
     assert np.array_equal(traceback(words, trellis, n), _register_exchange(words, trellis, n))
 
 
+@pytest.mark.parametrize("spec", [
+    CodeSpec.from_octal("4335,5723", constraint_length=12, frame_stages=13),
+    CodeSpec.from_octal("104157,126235", constraint_length=16, frame_stages=17),
+], ids=["k12", "k16"])
+@pytest.mark.parametrize("n", [1, 9])
+def test_survivor_memories_agree_on_arbitrary_words_at_the_k_cap(spec, n):
+    # the sibling above at K = 12 and the cap K = 16, where S/2 reaches 16384 and
+    # register exchange XORs 32768 registers in place; small n keeps K = 16's words small
+    trellis = build_trellis(spec)
+    rng = np.random.default_rng(n * 31 + spec.constraint_length)
+    words = rng.integers(0, 256, (spec.frame_stages, spec.num_states, -(-n // 8)), dtype=np.uint8)
+    assert np.array_equal(traceback(words, trellis, n), _register_exchange(words, trellis, n))
+
+
 def test_decode_clean_roundtrip(default_trellis):
     rng = random.Random(21)
     payloads = np.array([[rng.randrange(2) for _ in range(34)] for _ in range(25)])

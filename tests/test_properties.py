@@ -125,6 +125,24 @@ def test_decoders_agree_with_each_other_and_the_references(data):
     _check_agreement(spec, data.draw(received_words(spec)))
 
 
+def _check_symbol_table(spec: CodeSpec) -> None:
+    # the kernel gathers the four branch-distance rows with np.take(mode="clip"),
+    # which indexes as mode="raise" only while every symbol is 0-3
+    table = build_trellis(spec).symbol_table
+    assert table.dtype == np.uint8 and not table.flags.writeable
+    assert table.shape == (2 * spec.num_states,) and int(table.max()) <= 3
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_symbol_table_is_read_only_2_bit_symbols(data):
+    _check_symbol_table(data.draw(code_specs()))
+
+
+def test_symbol_table_is_read_only_2_bit_symbols_at_the_k_cap():
+    _check_symbol_table(CodeSpec.from_octal("104157,126235", constraint_length=16, frame_stages=17))
+
+
 @PROPERTY_SETTINGS
 @given(st.data())
 def test_kernel_stage_words_equal_reference_acs_on_every_state(data):
