@@ -43,6 +43,8 @@ class NoiseConfig:
         ebno_ratio(self.ebno_db)
         if not 0.0 < self.code_rate <= 1.0:
             raise ValueError(f"code_rate must be in (0, 1], got {self.code_rate!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if not math.isfinite(self.noise_variance):  # a subnormal 10^(dB/10)
             raise ValueError(f"Eb/N0 of {self.ebno_db!r} dB is out of range: the noise "
                              f"variance at code rate {self.code_rate!r} is not finite")

@@ -88,15 +88,19 @@ def _acs_kernel(rows: np.ndarray, trellis: Trellis) -> tuple[np.ndarray, np.ndar
         metric[:2 * live] = (metric[:live, np.newaxis] + step).reshape(2 * live, n)
     # cand[u, j, b]: the path into state 2j + b from predecessor j + u * S/2
     cand, upper = np.empty((2, half, 2, n), dtype=dtype), np.empty((half, 2, n), dtype=bool)
-    spare = np.empty_like(metric)
-    for t in range(warmup, stages):  # "clip" indexes as "raise" (symbols 0-3) but unbuffered
-        np.take(d[t], table, axis=0, out=cand.reshape(2 * states, n), mode="clip")
-        cand += metric.reshape(2, half, 1, n)
-        np.less(cand[1], cand[0], out=upper)
-        words[t] = np.packbits(upper.reshape(states, n), axis=1, bitorder="little")
-        np.minimum(cand[0], cand[1], out=spare.reshape(half, 2, n))
-        metric, spare = spare, metric
-    return metric, words
+    # stage views built once: each metric buffer is read as (u, j, 1, n) and written as
+    # (j, b, n); the i-th full stage reads bufs[i & 1] and writes the other
+    via_lower, via_upper = cand
+    flat, survivors = cand.reshape(2 * states, n), upper.reshape(states, n)
+    bufs = [(m, m.reshape(2, half, 1, n), m.reshape(half, 2, n))
+            for m in (metric, np.empty_like(metric))]
+    for i, t in enumerate(range(warmup, stages)):  # "clip" indexes as "raise" but unbuffered
+        np.take(d[t], table, axis=0, out=flat, mode="clip")
+        cand += bufs[i & 1][1]
+        np.less(via_upper, via_lower, out=upper)
+        words[t] = np.packbits(survivors, axis=1, bitorder="little")
+        np.minimum(via_lower, via_upper, out=bufs[~i & 1][2])
+    return bufs[(stages - warmup) & 1][0], words
 
 
 def _check_words(words: np.ndarray, trellis: Trellis, frames: int) -> None:

@@ -112,7 +112,9 @@ def _run_point(
         wrong = receive(received) != payloads
         info_bits += n * block
         bit_errors += int(np.count_nonzero(wrong))
-        frame_errors += int(np.count_nonzero(wrong.any(axis=1)))
+        # one max per frame segment of the flat rows: faster than a short-axis any(axis=1)
+        hit = np.maximum.reduceat(wrong.view(np.uint8).ravel(), np.arange(0, wrong.size, block))
+        frame_errors += int(np.count_nonzero(hit))
         if _stop(cfg, info_bits, bit_errors):
             break
     return BerPoint(

@@ -149,12 +149,13 @@ class Trellis:
 
 
 def bit_rows(rows, width: int, noun: str) -> np.ndarray:
-    """``rows`` as an ``(n, width)`` uint8 array of 0/1 bits, one frame per row;
-    a ``ValueError`` names ``noun`` when the shape or a bit is wrong."""
+    """``rows`` as an ``(n, width)`` uint8 array of 0/1 bits, one frame per row; a ``ValueError``
+    names ``noun`` when the shape or a bit is wrong (one ``max`` checks unsigned and bool rows)."""
     raw = np.asarray(rows)
     if raw.ndim != 2 or raw.shape[1] != width:
         raise ValueError(f"{noun} must have shape (n, {width}), got {raw.shape}")
-    if np.any((raw != 0) & (raw != 1)):
+    bad = raw.max(initial=0) > 1 if raw.dtype.kind in "bu" else np.any((raw != 0) & (raw != 1))
+    if bad:
         raise ValueError(f"{noun} must contain only 0/1 bits")
     return raw.astype(np.uint8, copy=False)
 

@@ -50,6 +50,11 @@ def test_noise_config_validation():
             NoiseConfig(ebno_db, 0.5)
 
 
+def test_noise_config_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match=r"^seed must be nonnegative, got -1$"):
+        NoiseConfig(0.0, seed=-1)
+
+
 def test_noise_variance_formula():
     assert NoiseConfig(0.0, code_rate=1.0).noise_variance == pytest.approx(0.5)
     assert NoiseConfig(4.0, code_rate=0.5).noise_variance == pytest.approx(0.3981, abs=1e-4)
@@ -123,6 +128,15 @@ def test_one_draw_channel_rejects_non_finite_noise(bad):
     stub = _FixedNormal([0.1, bad, -0.2])
     with pytest.raises(ValueError, match="hard_quantize needs finite samples"):
         _bpsk_awgn_hard(bits, SimpleNamespace(noise_sigma=1.0), stub)
+
+
+def test_one_draw_channel_with_no_noise_sends_the_bits():
+    # a variance that underflows to 0.0 is accepted, and the slicer then returns the sent bits
+    cfg = NoiseConfig(3080.0, 1.0)
+    assert cfg.noise_sigma == 0.0
+    bits = np.array([[0, 1, 1], [1, 0, 0]], dtype=np.uint8)
+    got = _bpsk_awgn_hard(bits, cfg, np.random.default_rng(3))
+    assert got.dtype == np.uint8 and got.tolist() == bits.tolist()
 
 
 def test_inject_empty_set_is_identity():

@@ -4,6 +4,7 @@ import hashlib
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from convfec import harness
@@ -71,6 +72,38 @@ def test_noiseless_run_has_zero_errors():
         assert point.bit_errors == 0
         assert point.frame_errors == 0
         assert point.ber == 0.0
+
+
+_LAST = DEFAULT_SPEC.payload_length - 1  # the last bit of a frame
+_BATCH = harness._BATCH_FRAMES
+
+
+@pytest.mark.parametrize("flips, frame_errors", [
+    ([(0, 0), (0, _LAST)], 1),  # both ends of one frame
+    ([(5, _LAST), (6, 0)], 2),  # either side of a frame boundary
+    ([(10, 1), (10, _LAST - 1)], 1),  # inside one frame
+    ([(_BATCH - 1, 0), (_BATCH, _LAST)], 2),  # a batch's last frame, a short batch's only frame
+])
+def test_frame_errors_count_each_frame_segment_once(flips, frame_errors):
+    # at 60 dB no sample crosses the slicer, so the errors are exactly the flipped
+    # (frame, bit) positions, over a batch and one frame
+    block, frames = DEFAULT_SPEC.payload_length, _BATCH + 1
+    mask = np.zeros((frames, block), dtype=np.uint8)
+    mask[tuple(zip(*flips))] = 1
+    done = 0
+
+    def receive(received):
+        nonlocal done
+        rows = mask[done:done + len(received)]
+        done += len(received)
+        return received ^ rows
+
+    cfg = SweepConfig((60.0,), frames * block, frames * block, 0, 4)
+    point = harness._run_point(cfg, UNCODED_BPSK, 60.0, 1.0, np.random.default_rng(4),
+                               lambda bits: bits, receive)
+    assert done == frames
+    assert (point.info_bits, point.bit_errors, point.frame_errors) == (
+        frames * block, len(flips), frame_errors)
 
 
 def test_sweep_is_deterministic():

@@ -1,8 +1,9 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from convfec.trellis import DEFAULT_SPEC, CodeSpec, build_trellis, free_distance
+from convfec.trellis import DEFAULT_SPEC, CodeSpec, bit_rows, build_trellis, free_distance
 
 from reference import branch_symbol, min_codeword_weight_upto, next_state, predecessors
 
@@ -168,3 +169,18 @@ def test_free_distance_matches_exhaustive_enumeration(k3_spec):
 def test_build_trellis_requires_spec():
     with pytest.raises(TypeError):
         build_trellis("171,133")
+
+
+@pytest.mark.parametrize("dtype, value", [(np.uint8, 2), (np.uint8, 255), (np.uint16, 256)])
+def test_bit_rows_rejects_unsigned_values_above_one(dtype, value):
+    rows = np.zeros((3, 4), dtype=dtype)
+    rows[2, 3] = value
+    with pytest.raises(ValueError, match=r"^coded frames must contain only 0/1 bits$"):
+        bit_rows(rows, 4, "coded frames")
+
+
+def test_bit_rows_accepts_bool_rows_and_no_unsigned_rows():
+    got = bit_rows(np.array([[True, False], [False, True]]), 2, "payloads")
+    assert got.dtype == np.uint8 and got.tolist() == [[1, 0], [0, 1]]
+    empty = bit_rows(np.zeros((0, 5), dtype=np.uint8), 5, "payloads")
+    assert empty.dtype == np.uint8 and empty.shape == (0, 5)
