@@ -16,6 +16,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .trellis import _index
+
 
 def ebno_ratio(ebno_db: float) -> float:
     """Eb/N0 as a power ratio, ``10^(ebno_db/10)``; ``ValueError`` unless that
@@ -43,6 +45,7 @@ class NoiseConfig:
         ebno_ratio(self.ebno_db)
         if not 0.0 < self.code_rate <= 1.0:
             raise ValueError(f"code_rate must be in (0, 1], got {self.code_rate!r}")
+        object.__setattr__(self, "seed", _index(self.seed, "seed"))
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if not math.isfinite(self.noise_variance):  # a subnormal 10^(dB/10)
@@ -114,7 +117,7 @@ def inject_errors(bits: np.ndarray, positions: Iterable[int]) -> np.ndarray:
     """
     out = np.array(bits, dtype=np.uint8)
     width = out.shape[-1]
-    flips = sorted(set(positions))
+    flips = sorted({_index(pos, "error position") for pos in positions})
     for pos in flips:
         if not 0 <= pos < width:
             raise ValueError(f"error position {pos} out of range for a {width}-bit frame")

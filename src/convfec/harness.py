@@ -23,7 +23,7 @@ import numpy as np
 from .channel import NoiseConfig, _bpsk_awgn_hard, ebno_ratio
 from .decoder import REGISTER_EXCHANGE, TRACEBACK, ActivityReport, decode_frames
 from .encoder import encode_frames
-from .trellis import DEFAULT_SPEC, CodeSpec, build_trellis
+from .trellis import DEFAULT_SPEC, CodeSpec, _index, build_trellis
 
 UNCODED_BPSK = "uncoded-bpsk"
 CODED_VITERBI = "coded-viterbi"
@@ -71,6 +71,8 @@ class SweepConfig:
             raise ValueError("ebno_points must name at least one Eb/N0 point")
         for ebno_db in self.ebno_points:  # before any Monte-Carlo work; rate 1/2 is the noisier
             NoiseConfig(ebno_db, code_rate=0.5)
+        for name in ("min_info_bits", "max_info_bits", "stop_at_errors", "seed"):
+            object.__setattr__(self, name, _index(getattr(self, name), name))
         if self.min_info_bits < 0:
             raise ValueError("min_info_bits must be nonnegative")
         if self.min_info_bits > self.max_info_bits:

@@ -19,7 +19,7 @@ Conventions shared by every module in this package:
 
 from __future__ import annotations
 
-import heapq
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +39,10 @@ class CodeSpec:
     frame_stages: int
 
     def __post_init__(self) -> None:
+        for name in ("constraint_length", "frame_stages"):
+            object.__setattr__(self, name, _index(getattr(self, name), name))
         k = self.constraint_length
-        if not isinstance(k, int) or k < 2:
+        if k < 2:
             raise ValueError(f"constraint length must be an integer >= 2, got {k!r}")
         if k > 16:  # the trellis tables hold 2^K entries; the encoder's registers fit uint16
             raise ValueError(f"constraint length must be at most 16, got {k}")
@@ -118,6 +120,13 @@ class CodeSpec:
         return ",".join(values)
 
 
+def _index(value, name: str) -> int:
+    """``value`` by ``operator.index``; a ``TypeError`` names ``name`` for a bool or non-integer."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
 #: The shipped default: the 802.16 standard K=7 pair (octal 171/133), 40-stage
 #: frames of 34 payload bits plus a 6-bit zero tail.
 DEFAULT_SPEC = CodeSpec.from_octal("171,133", constraint_length=7, frame_stages=40)
@@ -173,33 +182,19 @@ def build_trellis(spec: CodeSpec) -> Trellis:
 
 def free_distance(spec: CodeSpec, weight_cap: int) -> int | None:
     """Minimum Hamming weight over nonzero paths that leave and re-merge with
-    state 0, found by best-first search over the trellis.
-
-    Returns ``None`` when every such path weighs more than ``weight_cap``
-    (a value, not an error: the cap bounds the search).
-    """
+    state 0, by a min-plus recursion from the diverging branch (register 1) that
+    ends once no unmerged path is lighter than the best re-merge, as it must:
+    ``CodeSpec`` refuses catastrophic pairs.  ``None`` when every such path weighs
+    more than ``weight_cap`` (a value, not an error: the cap bounds the search)."""
     if weight_cap < 1:
         raise ValueError(f"weight_cap must be >= 1, got {weight_cap}")
-    s = spec.num_states
-    weights = [int(v).bit_count() for v in build_trellis(spec).symbol_table]
-
-    # Force the diverging branch (register 1: input 1 from state 0 into state
-    # 1); expand until the first re-merge with state 0, which is never expanded.
-    best: dict[int, int] = {1: weights[1]}
-    heap = [(weights[1], 1)] if weights[1] <= weight_cap else []
-    while heap:
-        w, state = heapq.heappop(heap)
-        if state == 0:
-            return w
-        if w > best.get(state, weight_cap + 1):
-            continue
-        for b in (0, 1):
-            idx = 2 * state + b
-            nw = w + weights[idx]
-            if nw > weight_cap:
-                continue
-            ns = idx % s
-            if nw < best.get(ns, weight_cap + 1):
-                best[ns] = nw
-                heapq.heappush(heap, (nw, ns))
-    return None
+    weight = np.array([0, 1, 1, 2])[build_trellis(spec).symbol_table]  # of each 2-bit symbol
+    live = np.full(spec.num_states, np.inf)  # the lightest unmerged path into each state
+    live[1] = weight[1]
+    best = weight_cap + 1
+    while live.min() < best:
+        step = np.repeat(live, 2) + weight  # branch r runs from state r >> 1 into r mod S
+        live = np.minimum(step[:spec.num_states], step[spec.num_states:])
+        best = min(best, live[0])
+        live[0] = np.inf
+    return int(best) if best <= weight_cap else None

@@ -66,18 +66,24 @@ def reference_acs(received, spec: CodeSpec) -> tuple[list[int], list[float]]:
     predecessor) and the final metric of every state.
     """
     states = 1 << (spec.constraint_length - 1)
+    # (predecessor, branch symbol) of each state's lower and upper branch; the
+    # symbol depends only on the state and its predecessor, so it is built once
+    branches = []
+    for s in range(states):
+        pair = []
+        for pred in (s >> 1, (s >> 1) + states // 2):
+            inputs = [s & 1] + [(pred >> j) & 1 for j in range(spec.constraint_length - 1)]
+            pair.append((pred, [sum(tap & x for tap, x in zip(taps, inputs)) % 2
+                                for taps in spec.generators]))
+        branches.append(pair)
     metric = [0.0] + [math.inf] * (states - 1)
     words = []
     for t in range(len(received) // 2):
         symbol = (received[2 * t], received[2 * t + 1])
         new_metric, word = [], 0
-        for s in range(states):
-            bit = s & 1
-            sums = []
-            for pred in (s >> 1, (s >> 1) + states // 2):
-                inputs = [bit] + [(pred >> j) & 1 for j in range(spec.constraint_length - 1)]
-                out = [sum(tap & x for tap, x in zip(taps, inputs)) % 2 for taps in spec.generators]
-                sums.append(metric[pred] + sum(o != r for o, r in zip(out, symbol)))
+        for s, pair in enumerate(branches):
+            sums = [metric[pred] + (out[0] != symbol[0]) + (out[1] != symbol[1])
+                    for pred, out in pair]
             if sums[1] < sums[0]:
                 word |= 1 << s
             new_metric.append(min(sums))

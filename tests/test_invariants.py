@@ -11,9 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from convfec.channel import hard_quantize
+from convfec.channel import NoiseConfig, hard_quantize, inject_errors
 from convfec.cli import run
-from convfec.harness import SweepConfig
+from convfec.harness import SweepConfig, ber_sweep, format_ber_csv
+from convfec.trellis import DEFAULT_SPEC, CodeSpec
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -71,3 +72,41 @@ def test_cli_empty_ebno_range_is_an_error(tmp_path, capsys):
 def test_hard_quantize_rejects_non_finite(bad):
     with pytest.raises(ValueError, match="finite"):
         hard_quantize(np.array([0.5, bad, -0.5]))
+
+
+_GENS = DEFAULT_SPEC.generators
+_FRAMES = np.zeros((2, 8), dtype=np.uint8)
+
+
+@pytest.mark.parametrize("build, field", [
+    pytest.param(lambda: NoiseConfig(0.0, seed=1.5), "seed", id="noise-seed-float"),
+    pytest.param(lambda: NoiseConfig(0.0, seed=True), "seed", id="noise-seed-bool"),
+    pytest.param(lambda: SweepConfig((1.0,), 0, 100, 0, seed=1.5), "seed", id="sweep-seed-float"),
+    pytest.param(lambda: SweepConfig((1.0,), 0, 100, 0, seed=True), "seed", id="sweep-seed-bool"),
+    pytest.param(lambda: SweepConfig((1.0,), 1.5, 100.5, 0, 1), "min_info_bits",
+                 id="sweep-budgets-float"),
+    pytest.param(lambda: SweepConfig((1.0,), 0, 100.5, 0, 1), "max_info_bits",
+                 id="sweep-max-float"),
+    pytest.param(lambda: SweepConfig((1.0,), 0, 100, 1.5, 1), "stop_at_errors",
+                 id="sweep-stop-float"),
+    pytest.param(lambda: CodeSpec(7, _GENS, 40.0), "frame_stages", id="spec-stages-float"),
+    pytest.param(lambda: CodeSpec(7, _GENS, True), "frame_stages", id="spec-stages-bool"),
+    pytest.param(lambda: CodeSpec(7.0, _GENS, 40), "constraint_length", id="spec-k-float"),
+    pytest.param(lambda: inject_errors(_FRAMES, [1.5]), "error position", id="position-float"),
+    pytest.param(lambda: inject_errors(_FRAMES, [True]), "error position", id="position-bool"),
+])
+def test_integer_fields_refuse_other_values_by_name(build, field):
+    with pytest.raises(TypeError, match=rf"^{field} must be an integer, got "):
+        build()
+
+
+def test_integer_fields_take_numpy_integers():
+    spec = CodeSpec(np.int64(7), _GENS, np.uint16(40))
+    assert spec == DEFAULT_SPEC
+    assert type(spec.constraint_length) is int and type(spec.frame_stages) is int
+    assert type(NoiseConfig(0.0, seed=np.uint32(4)).seed) is int
+    assert inject_errors(_FRAMES, [np.int64(7)])[:, 7].tolist() == [1, 1]
+    plain = SweepConfig((2.0,), 0, 340, 5, seed=9)
+    typed = SweepConfig((2.0,), np.int32(0), np.int64(340), np.uint8(5), seed=np.int64(9))
+    assert typed == plain
+    assert format_ber_csv(ber_sweep(typed)) == format_ber_csv(ber_sweep(plain))

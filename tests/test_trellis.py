@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -164,6 +166,34 @@ def test_free_distance_matches_exhaustive_enumeration(k3_spec):
     assert free_distance(k3_spec, 16) == min_codeword_weight_upto(k3_spec, 12)
     k5 = CodeSpec.from_octal("23,35", constraint_length=5, frame_stages=14)
     assert free_distance(k5, 16) == min_codeword_weight_upto(k5, 14) == 7
+
+
+def _small_codes():
+    """Every non-catastrophic K = 2-4 pair of nonzero generators."""
+    for k in (2, 3, 4):
+        taps = [t for t in itertools.product((0, 1), repeat=k) if any(t)]
+        for pair in itertools.product(taps, repeat=2):
+            try:
+                yield CodeSpec(k, pair, k)
+            except ValueError as err:
+                assert "catastrophic" in str(err)
+
+
+def test_free_distance_matches_enumeration_on_every_small_code():
+    codes = list(_small_codes())
+    assert len(codes) == 213
+    for spec in codes:
+        # a lightest detour visits each of at most 8 states once, so 12 input bits reach it
+        d = min_codeword_weight_upto(spec, 12)
+        for cap in range(1, 13):
+            assert free_distance(spec, cap) == (d if d <= cap else None), (spec, cap)
+
+
+def test_free_distance_published_k9_code():
+    # the K=9 561/753 pair's free distance is 12 (Larsen, IEEE Trans. Inf. Theory, 1973)
+    spec = CodeSpec.from_octal("561,753", constraint_length=9, frame_stages=20)
+    assert free_distance(spec, 16) == 12
+    assert free_distance(spec, 11) is None
 
 
 def test_build_trellis_requires_spec():
