@@ -11,12 +11,11 @@ once and compares it against the +-1 thresholds; ``bpsk_modulate``,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .trellis import _index
+from .trellis import _index, _real, _Value
 
 
 def ebno_ratio(ebno_db: float) -> float:
@@ -32,25 +31,21 @@ def ebno_ratio(ebno_db: float) -> float:
     return ratio
 
 
-@dataclass(frozen=True)
-class NoiseConfig:
+class NoiseConfig(_Value):
     """AWGN operating point.  Noise is reproducible for a given seed; the
     generator is numpy's PCG64 with ziggurat Gaussian sampling."""
 
-    ebno_db: float
-    code_rate: float = 0.5
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        ebno_ratio(self.ebno_db)
-        if not 0.0 < self.code_rate <= 1.0:
-            raise ValueError(f"code_rate must be in (0, 1], got {self.code_rate!r}")
-        object.__setattr__(self, "seed", _index(self.seed, "seed"))
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+    def __init__(self, ebno_db: float, code_rate: float = 0.5, seed: int = 0) -> None:
+        ebno_ratio(_real(ebno_db, "ebno_db"))
+        if not 0.0 < _real(code_rate, "code_rate") <= 1.0:
+            raise ValueError(f"code_rate must be in (0, 1], got {code_rate!r}")
+        seed = _index(seed, "seed")
+        if seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {seed}")
+        self._set(ebno_db=ebno_db, code_rate=code_rate, seed=seed)
         if not math.isfinite(self.noise_variance):  # a subnormal 10^(dB/10)
-            raise ValueError(f"Eb/N0 of {self.ebno_db!r} dB is out of range: the noise "
-                             f"variance at code rate {self.code_rate!r} is not finite")
+            raise ValueError(f"Eb/N0 of {ebno_db!r} dB is out of range: the noise "
+                             f"variance at code rate {code_rate!r} is not finite")
 
     @property
     def noise_variance(self) -> float:

@@ -8,12 +8,11 @@ cost.  Trace-back writes stage ``t``'s survivor bit as the input at ``t - (K-1)`
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .trellis import CodeSpec, Trellis, bit_rows
+from .trellis import CodeSpec, Trellis, _Value, bit_rows
 
 TRACEBACK = "trace-back"
 REGISTER_EXCHANGE = "register-exchange"
@@ -27,18 +26,15 @@ def _sentinel(dtype: np.dtype) -> int:  # unreachable: a sentinel plus one branc
     return int(np.iinfo(dtype).max) - 2
 
 
-@dataclass(frozen=True)
-class ActivityReport:
+class ActivityReport(_Value):
     """Switching-activity counters used as a power proxy."""
 
-    scheme: str
-    survivor_bit_writes: int
-    metric_writes: int
-    traceback_reads: int
-
-    def __post_init__(self) -> None:
-        if min(self.survivor_bit_writes, self.metric_writes, self.traceback_reads) < 0:
+    def __init__(self, scheme: str, survivor_bit_writes: int, metric_writes: int,
+                 traceback_reads: int) -> None:
+        if min(survivor_bit_writes, metric_writes, traceback_reads) < 0:
             raise ValueError("activity counts must be nonnegative")
+        self._set(scheme=scheme, survivor_bit_writes=survivor_bit_writes,
+                  metric_writes=metric_writes, traceback_reads=traceback_reads)
 
     @classmethod
     def for_frames(cls, spec: CodeSpec, scheme: str, frames: int) -> "ActivityReport":
@@ -199,15 +195,13 @@ def decode_frames(coded: np.ndarray, trellis: Trellis,
     return decoded, final_metrics
 
 
-@dataclass(frozen=True)
-class StreamedFrame:
+class StreamedFrame(_Value):
     """One decoded frame plus its availability on the symbol clock."""
 
-    index: int
-    decoded: list[int]
-    final_metric: int
-    available_at_clock: int
-    latency_clocks: int
+    def __init__(self, index: int, decoded: list[int], final_metric: int,
+                 available_at_clock: int, latency_clocks: int) -> None:
+        self._set(index=index, decoded=decoded, final_metric=final_metric,
+                  available_at_clock=available_at_clock, latency_clocks=latency_clocks)
 
 
 def stream_decode(frames: Sequence[Sequence[int]], trellis: Trellis) -> list[StreamedFrame]:

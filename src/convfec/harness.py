@@ -15,7 +15,6 @@ byte-identical CSV output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import Callable, Iterable
 
 import numpy as np
@@ -23,7 +22,7 @@ import numpy as np
 from .channel import NoiseConfig, _bpsk_awgn_hard, ebno_ratio
 from .decoder import REGISTER_EXCHANGE, TRACEBACK, ActivityReport, decode_frames
 from .encoder import encode_frames
-from .trellis import DEFAULT_SPEC, CodeSpec, _index, build_trellis
+from .trellis import DEFAULT_SPEC, CodeSpec, _index, _real, _Value, build_trellis
 
 UNCODED_BPSK = "uncoded-bpsk"
 CODED_VITERBI = "coded-viterbi"
@@ -39,48 +38,43 @@ _BATCH_FRAMES = 2048
 _Stage = Callable[[np.ndarray], np.ndarray]
 
 
-@dataclass(frozen=True)
-class BerPoint:
-    scheme: str
-    ebno_db: float
-    info_bits: int
-    bit_errors: int
-    frame_errors: int
-    ber: float
-    seed: int
+class BerPoint(_Value):
+    def __init__(self, scheme: str, ebno_db: float, info_bits: int, bit_errors: int,
+                 frame_errors: int, ber: float, seed: int) -> None:
+        self._set(scheme=scheme, ebno_db=ebno_db, info_bits=info_bits, bit_errors=bit_errors,
+                  frame_errors=frame_errors, ber=ber, seed=seed)
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(_Value):
     """One sweep: Eb/N0 points, a stopping rule, and the master seed.
 
     Each point accumulates at least ``min_info_bits`` information bits and
     stops at ``stop_at_errors`` bit errors or ``max_info_bits``, whichever
-    comes first.
+    comes first.  The rule is checked after each batch, so every point runs
+    at least one frame, even at ``max_info_bits=0`` (``power_compare`` reads
+    that budget as zero frames).
     """
 
-    ebno_points: tuple[float, ...]
-    min_info_bits: int
-    max_info_bits: int
-    stop_at_errors: int
-    seed: int
-    spec: CodeSpec = DEFAULT_SPEC
-
-    def __post_init__(self) -> None:
-        if not self.ebno_points:
+    def __init__(self, ebno_points: tuple[float, ...], min_info_bits: int, max_info_bits: int,
+                 stop_at_errors: int, seed: int, spec: CodeSpec = DEFAULT_SPEC) -> None:
+        if not ebno_points:
             raise ValueError("ebno_points must name at least one Eb/N0 point")
-        for ebno_db in self.ebno_points:  # before any Monte-Carlo work; rate 1/2 is the noisier
-            NoiseConfig(ebno_db, code_rate=0.5)
-        for name in ("min_info_bits", "max_info_bits", "stop_at_errors", "seed"):
-            object.__setattr__(self, name, _index(getattr(self, name), name))
-        if self.min_info_bits < 0:
+        for ebno_db in ebno_points:  # before any Monte-Carlo work; rate 1/2 is the noisier
+            NoiseConfig(_real(ebno_db, "ebno_points"), code_rate=0.5)
+        min_info_bits = _index(min_info_bits, "min_info_bits")
+        max_info_bits = _index(max_info_bits, "max_info_bits")
+        stop_at_errors = _index(stop_at_errors, "stop_at_errors")
+        seed = _index(seed, "seed")
+        if min_info_bits < 0:
             raise ValueError("min_info_bits must be nonnegative")
-        if self.min_info_bits > self.max_info_bits:
+        if min_info_bits > max_info_bits:
             raise ValueError("min_info_bits must not exceed max_info_bits")
-        if self.stop_at_errors < 0:
+        if stop_at_errors < 0:
             raise ValueError("stop_at_errors must be nonnegative")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        if seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {seed}")
+        self._set(ebno_points=ebno_points, min_info_bits=min_info_bits,
+                  max_info_bits=max_info_bits, stop_at_errors=stop_at_errors, seed=seed, spec=spec)
 
 
 def theoretical_uncoded_ber(ebno_db: float) -> float:
@@ -144,18 +138,17 @@ def ber_sweep(cfg: SweepConfig) -> list[BerPoint]:
     ]
 
 
-@dataclass(frozen=True)
-class PowerCompareResult:
+class PowerCompareResult(_Value):
     """Aggregated activity for the same frames decoded under both schemes.
 
     ``survivor_write_ratio`` is register-exchange writes over trace-back
     writes, exactly ``(frame_stages + 1) / 2``; ``None`` when no frames ran.
     """
 
-    traceback: ActivityReport
-    register_exchange: ActivityReport
-    frames: int
-    survivor_write_ratio: float | None
+    def __init__(self, traceback: ActivityReport, register_exchange: ActivityReport,
+                 frames: int, survivor_write_ratio: float | None) -> None:
+        self._set(traceback=traceback, register_exchange=register_exchange, frames=frames,
+                  survivor_write_ratio=survivor_write_ratio)
 
 
 def power_compare(cfg: SweepConfig) -> PowerCompareResult:
@@ -183,7 +176,7 @@ def power_compare(cfg: SweepConfig) -> PowerCompareResult:
 
     if frames:  # the runner runs at least one batch; its budget here is exactly `frames`
         bits = frames * spec.payload_length
-        exact = replace(cfg, min_info_bits=bits, max_info_bits=bits, stop_at_errors=0)
+        exact = SweepConfig(cfg.ebno_points, bits, bits, 0, cfg.seed, spec)
         _run_point(exact, CODED_VITERBI, cfg.ebno_points[0], 0.5, np.random.default_rng(cfg.seed),
                    lambda payloads: encode_frames(payloads, trellis), receive)
 

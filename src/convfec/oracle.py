@@ -6,12 +6,10 @@ as ground truth for the trellis decoder.  Guarded to 24 payload bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .encoder import encode_frames
-from .trellis import CodeSpec, bit_rows, build_trellis
+from .trellis import CodeSpec, _Value, bit_rows, build_trellis
 
 MAX_PAYLOAD_BITS = 24
 
@@ -19,8 +17,7 @@ MAX_PAYLOAD_BITS = 24
 _BLOCK_BITS = 16
 
 
-@dataclass(frozen=True)
-class MlResult:
+class MlResult(_Value):
     """Outcome of exhaustive minimum-distance decoding.
 
     ``best_payload`` is the lexicographically smallest minimizer (payload
@@ -28,10 +25,10 @@ class MlResult:
     ``minimizer_unique`` tells whether the tie rule mattered at all.
     """
 
-    best_payload: tuple[int, ...]
-    best_distance: int
-    minimizer_unique: bool
-    num_minimizers: int
+    def __init__(self, best_payload: tuple[int, ...], best_distance: int,
+                 minimizer_unique: bool, num_minimizers: int) -> None:
+        self._set(best_payload=best_payload, best_distance=best_distance,
+                  minimizer_unique=minimizer_unique, num_minimizers=num_minimizers)
 
 
 def _payload_matrix(spec: CodeSpec, start: int, count: int) -> np.ndarray:

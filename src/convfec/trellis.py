@@ -19,14 +19,38 @@ Conventions shared by every module in this package:
 
 from __future__ import annotations
 
+import numbers
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class CodeSpec:
+class _Value:
+    """Base of the immutable value classes: ``_set`` fills the fields once, in
+    order; assignment and deletion raise, and ``==``, ``hash`` and ``repr`` go by
+    the fields, as a frozen dataclass's do."""
+
+    def _set(self, **fields) -> None:
+        self.__dict__.update(fields)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__qualname__}({fields})"
+
+
+class CodeSpec(_Value):
     """A rate-1/2 feedforward convolutional code plus frame geometry.
 
     ``frame_stages`` is the total number of encoder input bits per frame,
@@ -34,14 +58,11 @@ class CodeSpec:
     ``frame_stages - (K-1)`` bits.
     """
 
-    constraint_length: int
-    generators: tuple[tuple[int, ...], tuple[int, ...]]
-    frame_stages: int
-
-    def __post_init__(self) -> None:
-        for name in ("constraint_length", "frame_stages"):
-            object.__setattr__(self, name, _index(getattr(self, name), name))
-        k = self.constraint_length
+    def __init__(self, constraint_length: int,
+                 generators: tuple[tuple[int, ...], tuple[int, ...]], frame_stages: int) -> None:
+        k = _index(constraint_length, "constraint_length")
+        stages = _index(frame_stages, "frame_stages")
+        self._set(constraint_length=k, generators=generators, frame_stages=stages)
         if k < 2:
             raise ValueError(f"constraint length must be an integer >= 2, got {k!r}")
         if k > 16:  # the trellis tables hold 2^K entries; the encoder's registers fit uint16
@@ -62,13 +83,13 @@ class CodeSpec:
             while a.bit_length() >= b.bit_length():
                 a ^= b << (a.bit_length() - b.bit_length())
             a, b = b, a
+        if not a:  # gcd(0, 0) = 0 would pass the power-of-D test below
+            raise ValueError(f"generator pair {self.generators_octal} is all zero")
         if a & (a - 1):
             raise ValueError(f"catastrophic generator pair {self.generators_octal}: "
                              "g1(D) and g2(D) share a factor other than a power of D")
-        if self.frame_stages < k:
-            raise ValueError(
-                f"frame_stages must be >= constraint length ({k}), got {self.frame_stages}"
-            )
+        if stages < k:
+            raise ValueError(f"frame_stages must be >= constraint length ({k}), got {stages}")
 
     @property
     def tail_length(self) -> int:
@@ -125,6 +146,14 @@ def _index(value, name: str) -> int:
     if isinstance(value, bool) or not hasattr(type(value), "__index__"):
         raise TypeError(f"{name} must be an integer, got {value!r}")
     return operator.index(value)
+
+
+def _real(value, name: str):
+    """``value`` itself when it is a real number other than a bool; else a ``TypeError``
+    naming ``name``.  Nothing is converted: ``repr`` of the value reaches the CSV."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+    return value
 
 
 #: The shipped default: the 802.16 standard K=7 pair (octal 171/133), 40-stage

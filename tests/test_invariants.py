@@ -100,6 +100,27 @@ def test_integer_fields_refuse_other_values_by_name(build, field):
         build()
 
 
+@pytest.mark.parametrize("build, field", [
+    pytest.param(lambda: NoiseConfig("3"), "ebno_db", id="noise-ebno-str"),
+    pytest.param(lambda: NoiseConfig(True), "ebno_db", id="noise-ebno-bool"),
+    pytest.param(lambda: NoiseConfig(4.0, code_rate="0.5"), "code_rate", id="noise-rate-str"),
+    pytest.param(lambda: NoiseConfig(4.0, code_rate=True), "code_rate", id="noise-rate-bool"),
+    pytest.param(lambda: SweepConfig(("1",), 0, 100, 0, 0), "ebno_points", id="sweep-point-str"),
+    pytest.param(lambda: SweepConfig((True,), 0, 100, 0, 0), "ebno_points",
+                 id="sweep-point-bool"),
+])
+def test_real_fields_refuse_other_values_by_name(build, field):
+    with pytest.raises(TypeError, match=rf"^{field} must be a real number, got "):
+        build()
+
+
+def test_real_fields_take_numpy_scalars_unconverted():
+    for value in (3, np.int64(3), np.float32(2.5), np.float64(2.5)):
+        noise = NoiseConfig(value, code_rate=np.float32(0.5))
+        assert noise.ebno_db is value and type(noise.code_rate) is np.float32
+        assert SweepConfig((1.0, value), 0, 100, 0, 0).ebno_points == (1.0, value)
+
+
 def test_integer_fields_take_numpy_integers():
     spec = CodeSpec(np.int64(7), _GENS, np.uint16(40))
     assert spec == DEFAULT_SPEC

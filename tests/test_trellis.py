@@ -46,6 +46,14 @@ def test_spec_rejects_bad_parameters(kwargs):
         CodeSpec(**kwargs)
 
 
+def test_spec_rejects_the_all_zero_generator_pair():
+    # gcd(0, 0) = 0 passed as a power of D, and then every frame decoded to zeros
+    with pytest.raises(ValueError, match=r"^generator pair 0,0 is all zero"):
+        CodeSpec(3, ((0, 0, 0), (0, 0, 0)), 5)
+    # one zero generator still makes a (weak) code
+    assert free_distance(CodeSpec(3, ((1, 0, 0), (0, 0, 0)), 5), 4) == 1
+
+
 def test_from_octal_rejects_garbage():
     with pytest.raises(ValueError):
         CodeSpec.from_octal("171", constraint_length=7, frame_stages=40)

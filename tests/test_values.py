@@ -1,0 +1,143 @@
+"""The value classes' contract: immutable, compared and hashed by their fields,
+printed as ``Name(field=value, ...)``, and copied and pickled whole."""
+
+from __future__ import annotations
+
+import copy
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from convfec.channel import NoiseConfig
+from convfec.decoder import ActivityReport, StreamedFrame
+from convfec.harness import BerPoint, PowerCompareResult, SweepConfig
+from convfec.oracle import MlResult
+from convfec.trellis import CodeSpec
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+_K3 = CodeSpec(3, ((1, 1, 1), (1, 0, 1)), 5)
+_TB = ActivityReport("trace-back", 20, 20, 5)
+_RE = ActivityReport("register-exchange", 60, 20, 0)
+
+# (class, fields in order, the repr, the missing-argument message); a field left out
+# of a class's list of fields takes its default
+_CASES = [
+    (CodeSpec, dict(constraint_length=3, generators=((1, 1, 1), (1, 0, 1)), frame_stages=5),
+     "CodeSpec(constraint_length=3, generators=((1, 1, 1), (1, 0, 1)), frame_stages=5)",
+     "missing 3 required positional arguments: 'constraint_length', 'generators', and "
+     "'frame_stages'"),
+    (NoiseConfig, dict(ebno_db=2.5, code_rate=0.5, seed=7),
+     "NoiseConfig(ebno_db=2.5, code_rate=0.5, seed=7)",
+     "missing 1 required positional argument: 'ebno_db'"),
+    (SweepConfig, dict(ebno_points=(0.0, 2), min_info_bits=0, max_info_bits=340,
+                       stop_at_errors=5, seed=9, spec=_K3),
+     "SweepConfig(ebno_points=(0.0, 2), min_info_bits=0, max_info_bits=340, stop_at_errors=5, "
+     "seed=9, spec=CodeSpec(constraint_length=3, generators=((1, 1, 1), (1, 0, 1)), "
+     "frame_stages=5))",
+     "missing 5 required positional arguments: 'ebno_points', 'min_info_bits', "
+     "'max_info_bits', 'stop_at_errors', and 'seed'"),
+    (BerPoint, dict(scheme="coded-viterbi", ebno_db=2.0, info_bits=340, bit_errors=3,
+                    frame_errors=2, ber=3 / 340, seed=9),
+     "BerPoint(scheme='coded-viterbi', ebno_db=2.0, info_bits=340, bit_errors=3, "
+     "frame_errors=2, ber=0.008823529411764706, seed=9)",
+     "missing 7 required positional arguments: 'scheme', 'ebno_db', 'info_bits', "
+     "'bit_errors', 'frame_errors', 'ber', and 'seed'"),
+    (ActivityReport, dict(scheme="trace-back", survivor_bit_writes=20, metric_writes=20,
+                          traceback_reads=5),
+     "ActivityReport(scheme='trace-back', survivor_bit_writes=20, metric_writes=20, "
+     "traceback_reads=5)",
+     "missing 4 required positional arguments: 'scheme', 'survivor_bit_writes', "
+     "'metric_writes', and 'traceback_reads'"),
+    (PowerCompareResult, dict(traceback=_TB, register_exchange=_RE, frames=1,
+                              survivor_write_ratio=3.0),
+     "PowerCompareResult(traceback=ActivityReport(scheme='trace-back', survivor_bit_writes=20, "
+     "metric_writes=20, traceback_reads=5), register_exchange=ActivityReport("
+     "scheme='register-exchange', survivor_bit_writes=60, metric_writes=20, traceback_reads=0), "
+     "frames=1, survivor_write_ratio=3.0)",
+     "missing 4 required positional arguments: 'traceback', 'register_exchange', 'frames', "
+     "and 'survivor_write_ratio'"),
+    (StreamedFrame, dict(index=0, decoded=[1, 0, 1], final_metric=2, available_at_clock=5,
+                         latency_clocks=5),
+     "StreamedFrame(index=0, decoded=[1, 0, 1], final_metric=2, available_at_clock=5, "
+     "latency_clocks=5)",
+     "missing 5 required positional arguments: 'index', 'decoded', 'final_metric', "
+     "'available_at_clock', and 'latency_clocks'"),
+    (MlResult, dict(best_payload=(1, 0), best_distance=2, minimizer_unique=True,
+                    num_minimizers=1),
+     "MlResult(best_payload=(1, 0), best_distance=2, minimizer_unique=True, num_minimizers=1)",
+     "missing 4 required positional arguments: 'best_payload', 'best_distance', "
+     "'minimizer_unique', and 'num_minimizers'"),
+]
+_IDS = [case[0].__name__ for case in _CASES]
+
+
+@pytest.mark.parametrize("cls, fields, text, _", _CASES, ids=_IDS)
+def test_repr_names_every_field_in_order(cls, fields, text, _):
+    value = cls(*fields.values())
+    assert repr(value) == text
+    assert list(vars(value)) == list(fields)
+
+
+@pytest.mark.parametrize("cls, fields, _, __", _CASES, ids=_IDS)
+def test_fields_can_be_neither_assigned_nor_deleted(cls, fields, _, __):
+    value = cls(**fields)
+    name, old = next(iter(fields.items()))
+    with pytest.raises(AttributeError, match=rf"^cannot assign to field '{name}'$"):
+        setattr(value, name, old)
+    with pytest.raises(AttributeError, match=r"^cannot assign to field 'extra'$"):
+        value.extra = 1
+    with pytest.raises(AttributeError, match=rf"^cannot delete field '{name}'$"):
+        delattr(value, name)
+    assert getattr(value, name) == old
+
+
+@pytest.mark.parametrize("cls, fields, _, __", _CASES, ids=_IDS)
+def test_equal_fields_give_equal_values_of_one_class(cls, fields, _, __):
+    a, b = cls(**fields), cls(*fields.values())
+    assert a == b and not a != b and a is not b
+    lookalike = object.__new__(type("Lookalike", (cls,), {}))
+    vars(lookalike).update(vars(a))
+    assert a != lookalike and lookalike != a
+    assert a != tuple(fields.values())
+    try:
+        expected = hash(tuple(fields.values()))
+    except TypeError:  # a list field: unhashable, as the tuple of the fields is
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(a)
+    else:
+        assert hash(a) == hash(b) == expected
+
+
+@pytest.mark.parametrize("cls, fields, _, __", _CASES, ids=_IDS)
+def test_pickle_and_deepcopy_round_trip(cls, fields, _, __):
+    value = cls(**fields)
+    for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert type(twin) is cls and twin == value and repr(twin) == repr(value)
+
+
+@pytest.mark.parametrize("cls, _, __, message", _CASES, ids=_IDS)
+def test_missing_arguments_are_named(cls, _, __, message):
+    with pytest.raises(TypeError) as err:
+        cls()
+    assert str(err.value) == f"{cls.__name__}.__init__() {message}"
+
+
+def test_keyword_construction_takes_the_defaults():
+    assert NoiseConfig(ebno_db=1.0) == NoiseConfig(1.0, 0.5, 0)
+    default = SweepConfig(ebno_points=(1.0,), min_info_bits=0, max_info_bits=34,
+                          stop_at_errors=0, seed=0)
+    assert default.spec == CodeSpec.from_octal("171,133", 7, 40)
+
+
+def test_import_loads_no_dataclasses():
+    script = "import sys, convfec, convfec.cli; print('dataclasses' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)}, check=True,
+    ).stdout
+    assert out == "False\n"
