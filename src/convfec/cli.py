@@ -206,33 +206,24 @@ def _parse_lines(data: bytes, expected_len: int, what: str) -> np.ndarray:
         bits = rows[:, :-1] - ord("0")  # uint8: anything but '0'/'1' wraps above 1
         if (rows[:, -1] == _NEWLINE).all() and bits.max(initial=0) <= 1:
             return bits
-    sep = raw == _NEWLINE
-    newlines = np.flatnonzero(sep)
-    starts, ends = np.r_[0, newlines + 1], np.r_[newlines, raw.size]
-    lengths = ends - starts
-    invalid = ((raw - ord("0")) > 1) & ~sep
-    offending = np.flatnonzero((lengths != expected_len) & (lengths > 0))[:1].tolist()
-    if invalid.any():
-        offending.append(int(np.searchsorted(newlines, invalid.argmax())))
-    if offending:
-        i = min(offending)
-        line = data[starts[i]:ends[i]]
-        bad = line.lstrip(b"01")
-        if bad:  # surrogateescape names a non-ASCII byte, e.g. '\\udcff' for 0xff
-            char = bad[:1].decode("ascii", "surrogateescape")
-            raise CliError(f"line {i + 1}: invalid character {char!r} "
-                           "(frames are lines of '0'/'1')")
-        raise CliError(f"line {i + 1}: {what} frame must be {expected_len} bits, "
-                       f"got {len(line)}")
-    return (raw[~sep] - ord("0")).reshape(np.count_nonzero(lengths), expected_len)
+    lengths = np.diff(np.flatnonzero(raw == _NEWLINE), prepend=-1, append=raw.size) - 1
+    bits = np.frombuffer(data.replace(b"\n", b""), dtype=np.uint8) - ord("0")
+    if ((lengths != expected_len) & (lengths > 0)).any() or bits.max(initial=0) > 1:
+        for number, line in enumerate(data.split(b"\n"), 1):  # name the first bad line
+            if bad := line.lstrip(b"01"):
+                char = bad[:1].decode("ascii", "surrogateescape")  # byte 0xff reads '\\udcff'
+                raise CliError(f"line {number}: invalid character {char!r} "
+                               "(frames are lines of '0'/'1')")
+            if line and len(line) != expected_len:
+                raise CliError(f"line {number}: {what} frame must be {expected_len} bits, "
+                               f"got {len(line)}")
+    return bits.reshape(-1, expected_len)
 
 
-def _format_frames(frames: Sequence[Sequence[int]]) -> bytes:
-    if len(frames) == 0:
-        return b""
-    digits = np.asarray(frames, dtype=np.uint8) + ord("0")
-    newline = np.full((digits.shape[0], 1), _NEWLINE, dtype=np.uint8)
-    return np.hstack([digits, newline]).tobytes()
+def _format_frames(frames: np.ndarray) -> bytes:
+    text = np.full((frames.shape[0], frames.shape[1] + 1), _NEWLINE, dtype=np.uint8)
+    np.add(frames, ord("0"), out=text[:, :-1])
+    return text.tobytes()
 
 
 def _write(path: str, data: bytes) -> None:
@@ -323,8 +314,8 @@ def _cmd_oracle_decode(args: argparse.Namespace, spec: CodeSpec) -> None:
             f"the guard is {MAX_PAYLOAD_BITS} payload bits (use 'decode')"
         )
     frames = _read_frames(args.input, 2 * spec.frame_stages, "coded")
-    payloads = [result.best_payload for result in ml_decode_frames(frames, spec)]
-    _write(args.output, _format_frames(payloads))
+    payloads = np.array([r.best_payload for r in ml_decode_frames(frames, spec)], dtype=np.uint8)
+    _write(args.output, _format_frames(payloads.reshape(-1, spec.payload_length)))
 
 
 def _cmd_inject_errors(args: argparse.Namespace, spec: CodeSpec) -> None:

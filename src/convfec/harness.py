@@ -57,6 +57,7 @@ class SweepConfig(_Value):
 
     def __init__(self, ebno_points: tuple[float, ...], min_info_bits: int, max_info_bits: int,
                  stop_at_errors: int, seed: int, spec: CodeSpec = DEFAULT_SPEC) -> None:
+        ebno_points = tuple(ebno_points)
         if not ebno_points:
             raise ValueError("ebno_points must name at least one Eb/N0 point")
         for ebno_db in ebno_points:  # before any Monte-Carlo work; rate 1/2 is the noisier
@@ -190,7 +191,7 @@ def format_ber_csv(points: Iterable[BerPoint]) -> str:
     lines = [BER_CSV_HEADER]
     for p in points:
         lines.append(
-            f"{p.scheme},{p.ebno_db!r},{p.info_bits},{p.bit_errors},"
+            f"{p.scheme},{float(p.ebno_db)!r},{p.info_bits},{p.bit_errors},"
             f"{p.frame_errors},{p.ber!r},{p.seed}"
         )
     return "\n".join(lines) + "\n"

@@ -149,8 +149,8 @@ def _index(value, name: str) -> int:
 
 
 def _real(value, name: str):
-    """``value`` itself when it is a real number other than a bool; else a ``TypeError``
-    naming ``name``.  Nothing is converted: ``repr`` of the value reaches the CSV."""
+    """``value`` itself, unconverted, when it is a real number other than a bool; else a
+    ``TypeError`` naming ``name``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"{name} must be a real number, got {value!r}")
     return value

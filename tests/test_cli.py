@@ -176,6 +176,30 @@ def test_parse_lines_equals_the_per_line_reference(case):
         assert np.array_equal(got, want)
 
 
+_LONG_TEXT = b"01" * 40 + b"\n" + b"10" * 40 + b"\n"  # two 80-bit lines
+
+
+@pytest.mark.parametrize("last, message", [
+    (b"0" * 79 + b"\xff\n", "line 1000: invalid character '\\udcff' (frames are lines of '0'/'1')"),
+    (b"0" * 79 + b"\n", "line 1000: coded frame must be 80 bits, got 79"),
+], ids=["bad-byte", "short"])
+def test_the_last_line_of_a_1000_line_file_is_named(last, message):
+    with pytest.raises(CliError) as exc:
+        _parse_lines(_LONG_TEXT * 499 + b"0" * 80 + b"\n" + last, 80, "coded")
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("irregular", [
+    lambda text: b"\n" + text,
+    lambda text: text[:-1],
+    lambda text: text.replace(b"\n", b"\r") + b"\r",
+], ids=["leading-blank-line", "no-final-newline", "cr-ends-and-a-lone-cr"])
+def test_irregular_valid_files_parse_to_the_regular_array(irregular):
+    text = _LONG_TEXT * 500
+    assert np.array_equal(_parse_lines(irregular(text), 80, "coded"),
+                          _parse_lines(text, 80, "coded"))
+
+
 def test_wrong_length_line_diagnostic(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("0101\n")
@@ -242,6 +266,14 @@ def test_oracle_decode_small_code(tmp_path):
     assert run(["-K", "3", "--generators", "7,5", "-L", "5",
                 "oracle-decode", "-i", str(coded), "-o", str(out)]) == 0
     assert out.read_text() == "101\n"
+
+
+def test_oracle_decode_of_an_empty_input_writes_an_empty_output(tmp_path):
+    empty, out = tmp_path / "empty.txt", tmp_path / "o.txt"
+    empty.write_bytes(b"")
+    assert run(["-K", "3", "--generators", "7,5", "-L", "5",
+                "oracle-decode", "-i", str(empty), "-o", str(out)]) == 0
+    assert out.read_bytes() == b""
 
 
 def test_oracle_decode_enumerates_each_block_once(tmp_path, monkeypatch):

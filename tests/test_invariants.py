@@ -121,6 +121,20 @@ def test_real_fields_take_numpy_scalars_unconverted():
         assert SweepConfig((1.0, value), 0, 100, 0, 0).ebno_points == (1.0, value)
 
 
+def test_sweep_points_given_as_a_list_are_stored_as_a_tuple():
+    listed, tupled = SweepConfig([1.0, 2.5], 0, 34, 0, 0), SweepConfig((1.0, 2.5), 0, 34, 0, 0)
+    assert listed == tupled and hash(listed) == hash(tupled)
+    with pytest.raises(AttributeError):
+        listed.ebno_points.append(float("nan"))
+
+
+def test_ber_csv_writes_each_point_as_a_python_float():
+    points = ber_sweep(SweepConfig((np.float64(2.0), np.float32(2.5), 3), 0, 34, 0, 0))
+    rows = format_ber_csv(points).splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == ["2.0", "2.0", "2.5", "2.5", "3.0", "3.0"]
+    assert [type(p.ebno_db) for p in points[::2]] == [np.float64, np.float32, int]
+
+
 def test_integer_fields_take_numpy_integers():
     spec = CodeSpec(np.int64(7), _GENS, np.uint16(40))
     assert spec == DEFAULT_SPEC
