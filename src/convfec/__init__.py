@@ -23,7 +23,6 @@ from .decoder import (
     StreamedFrame,
     decode_frames,
     stream_decode,
-    traceback,
 )
 from .oracle import MAX_PAYLOAD_BITS, MlResult, ml_decode_frames
 from .harness import (
@@ -64,5 +63,4 @@ __all__ = [
     "power_compare",
     "stream_decode",
     "theoretical_uncoded_ber",
-    "traceback",
 ]

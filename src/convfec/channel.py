@@ -43,7 +43,11 @@ class NoiseConfig(_Value):
         if seed < 0:
             raise ValueError(f"seed must be nonnegative, got {seed}")
         self._set(ebno_db=ebno_db, code_rate=code_rate, seed=seed)
-        if not math.isfinite(self.noise_variance):  # a subnormal 10^(dB/10)
+        try:  # 2 * rate * 10^(dB/10) may be subnormal, or underflow to 0
+            finite = math.isfinite(self.noise_variance)
+        except ZeroDivisionError:
+            finite = False
+        if not finite:
             raise ValueError(f"Eb/N0 of {ebno_db!r} dB is out of range: the noise "
                              f"variance at code rate {code_rate!r} is not finite")
 

@@ -233,7 +233,7 @@ def _write(path: str, data: bytes) -> None:
     if path == "-":
         _write_stdout(data)
         return
-    target, tmp = os.path.abspath(path), None
+    target, tmp = path, None  # as given: abspath would collapse ".." across a symlink
     if os.path.islink(target):  # realpath alone would lstat every component of every path
         target = os.path.realpath(target)
     try:

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .trellis import CodeSpec, Trellis, _Value, bit_rows
+from .trellis import CodeSpec, Trellis, _index, _Value, bit_rows
 
 TRACEBACK = "trace-back"
 REGISTER_EXCHANGE = "register-exchange"
@@ -39,7 +39,7 @@ class ActivityReport(_Value):
     @classmethod
     def for_frames(cls, spec: CodeSpec, scheme: str, frames: int) -> "ActivityReport":
         """Activity of ``frames`` frames; it never depends on the data."""
-        s, l = spec.num_states, spec.frame_stages
+        s, l, frames = spec.num_states, spec.frame_stages, _index(frames, "frames")
         if scheme == TRACEBACK:
             return cls(scheme, s * l * frames, s * l * frames, l * frames)
         if scheme == REGISTER_EXCHANGE:
@@ -99,21 +99,13 @@ def _acs_kernel(rows: np.ndarray, trellis: Trellis) -> tuple[np.ndarray, np.ndar
     return bufs[(stages - warmup) & 1][0], words
 
 
-def _check_words(words: np.ndarray, trellis: Trellis, frames: int) -> None:
-    shape = (trellis.spec.frame_stages, trellis.num_states, -(-frames // 8))
-    if words.shape != shape:
-        raise ValueError(f"survivor memory needs a complete frame: stage words of shape "
-                         f"{shape}, got {words.shape}")
-
-
-def traceback(words: np.ndarray, trellis: Trellis, frames: int) -> np.ndarray:
+def _traceback(words: np.ndarray, trellis: Trellis, frames: int) -> np.ndarray:
     """Trace-back survivor memory: each frame's decoded bits, oldest first, walking
     back from state 0, where the zero tail ends every frame.  Before state ``s``
     comes ``s >> 1``, plus ``S/2`` when its survivor bit is 1.  That bit is the
     predecessor's MSB, the input ``K - 1`` stages back, so stage ``t`` writes bit
     ``t - (K-1)`` straight into its output row, and the state steps back in
     place; the last ``K - 1`` bits are the tail's zeros."""
-    _check_words(words, trellis, frames)
     stages, states, nbytes = words.shape
     byte, shift = np.arange(frames) >> 3, (np.arange(frames) & 7).astype(np.uint8)
     flat = words.reshape(stages, -1)  # one 1-D take per stage, at state * nbytes + byte
@@ -140,7 +132,6 @@ def _register_exchange(words: np.ndarray, trellis: Trellis, frames: int) -> np.n
     In the last K-1 stages only the states that the zero tail still leads to
     state 0 are updated (Forney 1973): after stage ``t`` these are the even
     states ``k * S / 2^(L-1-t)``, read from their predecessors as strided views."""
-    _check_words(words, trellis, frames)
     stages, states, nbytes = words.shape
     half, k = states >> 1, trellis.spec.constraint_length
     regs, spare = np.zeros((2, states, stages, nbytes), dtype=np.uint8)
@@ -161,7 +152,7 @@ def _register_exchange(words: np.ndarray, trellis: Trellis, frames: int) -> np.n
     return np.unpackbits(regs[0], axis=1, count=frames, bitorder="little").T
 
 
-_SURVIVOR_MEMORIES = {TRACEBACK: traceback, REGISTER_EXCHANGE: _register_exchange}
+_SURVIVOR_MEMORIES = {TRACEBACK: _traceback, REGISTER_EXCHANGE: _register_exchange}
 
 
 def _check_terminal(final: np.ndarray, stages: int) -> None:

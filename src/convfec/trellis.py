@@ -111,6 +111,7 @@ class CodeSpec(_Value):
         frame_stages: int = 40,
     ) -> "CodeSpec":
         """Build a spec from comma-separated octal generators, e.g. ``"171,133"``."""
+        constraint_length = _index(constraint_length, "constraint_length")
         parts = [p.strip() for p in generators.split(",")]
         if len(parts) != 2:
             raise ValueError(f"expected two comma-separated octal generators, got {generators!r}")
@@ -215,6 +216,7 @@ def free_distance(spec: CodeSpec, weight_cap: int) -> int | None:
     ends once no unmerged path is lighter than the best re-merge, as it must:
     ``CodeSpec`` refuses catastrophic pairs.  ``None`` when every such path weighs
     more than ``weight_cap`` (a value, not an error: the cap bounds the search)."""
+    weight_cap = _index(weight_cap, "weight_cap")
     if weight_cap < 1:
         raise ValueError(f"weight_cap must be >= 1, got {weight_cap}")
     weight = np.array([0, 1, 1, 2])[build_trellis(spec).symbol_table]  # of each 2-bit symbol

@@ -48,6 +48,10 @@ def test_noise_config_validation():
     for ebno_db in (4000.0, -4000.0, -3200.0, math.nan):
         with pytest.raises(ValueError, match=f"Eb/N0 of {ebno_db!r} dB"):
             NoiseConfig(ebno_db, 0.5)
+    # 10^(dB/10) is normal, but 2 * rate * 10^(dB/10) underflows to 0
+    with pytest.raises(ValueError, match=r"^Eb/N0 of -3000\.0 dB is out of range: the noise "
+                                         r"variance at code rate 1e-30 is not finite$"):
+        NoiseConfig(-3000.0, code_rate=1e-30)
 
 
 def test_noise_config_rejects_a_negative_seed():

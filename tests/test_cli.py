@@ -551,6 +551,22 @@ def test_a_symlinked_output_writes_its_target(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "p.txt", "real.txt"]
 
 
+def test_an_output_path_through_a_symlinked_directory_is_resolved_as_the_os_does(tmp_path):
+    # "dirlink/.." is the parent of dirlink's target, not tmp_path: ".." is not collapsed as text
+    payloads, sub = tmp_path / "p.txt", tmp_path / "elsewhere" / "sub"
+    payloads.write_text("1" * 34 + "\n")
+    sub.mkdir(parents=True)
+    (tmp_path / "dirlink").symlink_to(sub)
+    out = os.path.join(tmp_path, "dirlink", "..", "out.txt")
+    assert run(["encode", "-i", str(payloads), "-o", out]) == 0
+    assert not (tmp_path / "out.txt").exists()
+    data = (tmp_path / "elsewhere" / "out.txt").read_bytes()
+    assert len(data) == 81 and set(data[:80]) <= set(b"01")
+    with open(out, "rb") as fp:
+        assert fp.read() == data
+    assert sorted(p.name for p in (tmp_path / "elsewhere").iterdir()) == ["out.txt", "sub"]
+
+
 def test_power_compare_csv(tmp_path):
     out = tmp_path / "power.csv"
     assert run(["power-compare", "--frames", "2", "--ebno", "4", "--seed", "7",

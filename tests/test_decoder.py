@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+import convfec
 from convfec import decoder
 from convfec.channel import NoiseConfig, add_awgn, bpsk_modulate, hard_quantize, inject_errors
 from convfec.decoder import (
@@ -15,9 +16,9 @@ from convfec.decoder import (
     _acs_kernel,
     _register_exchange,
     _sentinel,
+    _traceback,
     decode_frames,
     stream_decode,
-    traceback,
 )
 from convfec.encoder import encode_frames
 from convfec.trellis import DEFAULT_SPEC, CodeSpec, build_trellis
@@ -56,49 +57,25 @@ def test_survivor_memory_write_contract(default_trellis):
     assert writes == words.shape[0] * words.shape[1] == 64 * 40
 
 
-@pytest.mark.parametrize("memory", [traceback, _register_exchange],
-                         ids=["traceback", "register-exchange"])
-def test_traceback_requires_complete_frame(default_trellis, memory):
-    # both survivor memories share one shape check and one message
-    words = np.zeros((1, 64, 1), dtype=np.uint8)
-    with pytest.raises(ValueError, match="complete frame"):
-        memory(words, default_trellis, 1)
-    with pytest.raises(ValueError, match=r"^survivor memory needs a complete frame: stage words "
-                                         r"of shape \(40, 64, 2\), got \(40, 64, 1\)$"):
-        memory(np.zeros((40, 64, 1), dtype=np.uint8), default_trellis, 9)
-    with pytest.raises(ValueError, match="complete frame"):  # 32-state words, 64 states
-        memory(np.zeros((40, 32, 1), dtype=np.uint8), default_trellis, 1)
-
-
-@pytest.mark.parametrize("shape, frames", [
-    ((40, 32, 1), 1),  # 32-state words on the 64-state trellis
-    ((40, 64, 1), 9),  # frame 8 would read the next state's byte
-    ((39, 64, 1), 1),
-])
-def test_traceback_rejects_wrong_word_shape(default_trellis, shape, frames):
-    with pytest.raises(ValueError, match="complete frame"):
-        traceback(np.zeros(shape, dtype=np.uint8), default_trellis, frames)
-
-
 def test_traceback_upper_branch_rule(default_trellis):
     # from state 0: bit set at 0 leads to 0>>1 + 32 = 32, then lower to 16,
     # then bit set at 16 leads to 16>>1 + 32 = 40, then 20, 10, 5, 2, 1, 0:
     # the odd states 5 and 1 are the states after stages 33 and 31
     words = np.zeros((40, 64, 1), dtype=np.uint8)
     words[39, 0, 0] = words[37, 16, 0] = 1
-    assert np.flatnonzero(traceback(words, default_trellis, 1)[0]).tolist() == [31, 33]
+    assert np.flatnonzero(_traceback(words, default_trellis, 1)[0]).tolist() == [31, 33]
 
 
 def test_traceback_lower_branch_rule(default_trellis):
     # a clear bit at state 32 leads to 32>>1 = 16, then 8, 4, 2, 1 after stage 33
     words = np.zeros((40, 64, 1), dtype=np.uint8)
     words[39, 0, 0] = 1
-    assert np.flatnonzero(traceback(words, default_trellis, 1)[0]).tolist() == [33]
+    assert np.flatnonzero(_traceback(words, default_trellis, 1)[0]).tolist() == [33]
 
 
 def test_traceback_all_zero_memory(default_trellis):
     words = np.zeros((40, 64, 1), dtype=np.uint8)
-    assert traceback(words, default_trellis, 1)[0].tolist() == [0] * 40
+    assert _traceback(words, default_trellis, 1)[0].tolist() == [0] * 40
 
 
 def test_traceback_reads_each_frames_own_bit(default_trellis):
@@ -106,11 +83,25 @@ def test_traceback_reads_each_frames_own_bit(default_trellis):
     words = np.zeros((40, 64, 2), dtype=np.uint8)
     words[39, 0, 1] = 0b11  # frames 8 and 9
     words[37, 16, 1] = 1 << 1  # frame 9 only
-    bits = traceback(words, default_trellis, 10)
+    bits = _traceback(words, default_trellis, 10)
     assert bits.shape == (10, 40) and bits.dtype == np.uint8
     assert np.flatnonzero(bits[9]).tolist() == [31, 33]
     assert np.flatnonzero(bits[8]).tolist() == [33]
     assert np.flatnonzero(bits[7]).tolist() == []
+
+
+def test_the_package_exports_exactly_its_public_api():
+    # the survivor memories are internal: decode_frames picks one by its scheme name
+    assert convfec.__all__ == [
+        "ActivityReport", "BerPoint", "CodeSpec", "DEFAULT_SPEC", "MAX_PAYLOAD_BITS", "MlResult",
+        "NoiseConfig", "PowerCompareResult", "REGISTER_EXCHANGE", "StreamedFrame", "SweepConfig",
+        "TRACEBACK", "Trellis", "add_awgn", "ber_sweep", "bpsk_modulate", "build_trellis",
+        "decode_frames", "encode_frames", "free_distance", "hard_quantize", "inject_errors",
+        "ml_decode_frames", "power_compare", "stream_decode", "theoretical_uncoded_ber",
+    ]
+    assert convfec.__all__ == sorted(convfec.__all__)
+    assert all(hasattr(convfec, name) for name in convfec.__all__)
+    assert not hasattr(convfec, "traceback")
 
 
 @pytest.mark.parametrize("spec", [
@@ -140,7 +131,7 @@ def test_survivor_memories_agree_on_arbitrary_words(spec, n):
     trellis = build_trellis(spec)
     rng = np.random.default_rng(n * 31 + spec.constraint_length)
     words = rng.integers(0, 256, (spec.frame_stages, spec.num_states, -(-n // 8)), dtype=np.uint8)
-    assert np.array_equal(traceback(words, trellis, n), _register_exchange(words, trellis, n))
+    assert np.array_equal(_traceback(words, trellis, n), _register_exchange(words, trellis, n))
 
 
 @pytest.mark.parametrize("spec", [
@@ -154,7 +145,7 @@ def test_survivor_memories_agree_on_arbitrary_words_at_the_k_cap(spec, n):
     trellis = build_trellis(spec)
     rng = np.random.default_rng(n * 31 + spec.constraint_length)
     words = rng.integers(0, 256, (spec.frame_stages, spec.num_states, -(-n // 8)), dtype=np.uint8)
-    assert np.array_equal(traceback(words, trellis, n), _register_exchange(words, trellis, n))
+    assert np.array_equal(_traceback(words, trellis, n), _register_exchange(words, trellis, n))
 
 
 def test_decode_clean_roundtrip(default_trellis):

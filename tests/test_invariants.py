@@ -13,8 +13,9 @@ import pytest
 
 from convfec.channel import NoiseConfig, hard_quantize, inject_errors
 from convfec.cli import run
+from convfec.decoder import TRACEBACK, ActivityReport
 from convfec.harness import SweepConfig, ber_sweep, format_ber_csv
-from convfec.trellis import DEFAULT_SPEC, CodeSpec
+from convfec.trellis import DEFAULT_SPEC, CodeSpec, free_distance
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -92,6 +93,16 @@ _FRAMES = np.zeros((2, 8), dtype=np.uint8)
     pytest.param(lambda: CodeSpec(7, _GENS, 40.0), "frame_stages", id="spec-stages-float"),
     pytest.param(lambda: CodeSpec(7, _GENS, True), "frame_stages", id="spec-stages-bool"),
     pytest.param(lambda: CodeSpec(7.0, _GENS, 40), "constraint_length", id="spec-k-float"),
+    pytest.param(lambda: CodeSpec.from_octal("7,5", constraint_length=3.0), "constraint_length",
+                 id="octal-k-float"),
+    pytest.param(lambda: CodeSpec.from_octal("7,5", constraint_length=True), "constraint_length",
+                 id="octal-k-bool"),
+    pytest.param(lambda: free_distance(DEFAULT_SPEC, 12.5), "weight_cap", id="dfree-cap-float"),
+    pytest.param(lambda: free_distance(DEFAULT_SPEC, True), "weight_cap", id="dfree-cap-bool"),
+    pytest.param(lambda: ActivityReport.for_frames(DEFAULT_SPEC, TRACEBACK, 1.5), "frames",
+                 id="activity-frames-float"),
+    pytest.param(lambda: ActivityReport.for_frames(DEFAULT_SPEC, TRACEBACK, True), "frames",
+                 id="activity-frames-bool"),
     pytest.param(lambda: inject_errors(_FRAMES, [1.5]), "error position", id="position-float"),
     pytest.param(lambda: inject_errors(_FRAMES, [True]), "error position", id="position-bool"),
 ])
@@ -141,6 +152,11 @@ def test_integer_fields_take_numpy_integers():
     assert type(spec.constraint_length) is int and type(spec.frame_stages) is int
     assert type(NoiseConfig(0.0, seed=np.uint32(4)).seed) is int
     assert inject_errors(_FRAMES, [np.int64(7)])[:, 7].tolist() == [1, 1]
+    assert CodeSpec.from_octal("171,133", constraint_length=np.uint8(7)) == DEFAULT_SPEC
+    assert free_distance(DEFAULT_SPEC, np.int64(10)) == 10
+    activity = ActivityReport.for_frames(DEFAULT_SPEC, TRACEBACK, np.uint16(3))
+    assert activity == ActivityReport.for_frames(DEFAULT_SPEC, TRACEBACK, 3)
+    assert type(activity.survivor_bit_writes) is int
     plain = SweepConfig((2.0,), 0, 340, 5, seed=9)
     typed = SweepConfig((2.0,), np.int32(0), np.int64(340), np.uint8(5), seed=np.int64(9))
     assert typed == plain
