@@ -357,12 +357,15 @@ def _parse_ebno(text: str) -> tuple[float, ...]:
 
 def _parse_bit_count(text: str, flag: str) -> int:
     try:
-        value = int(float(text))
-    except (ValueError, OverflowError):  # OverflowError: inf, or 1e400 read as inf
+        value = float(text)
+        count = int(value)  # ValueError: nan; OverflowError: inf, or 1e400 read as inf
+    except (ValueError, OverflowError):
         raise CliError(f"{flag} must be a finite number, got {text!r}") from None
-    if value < 0:
-        raise CliError(f"{flag} must be nonnegative")
-    return value
+    if count != value:
+        raise CliError(f"{flag} must be a whole number, got {text!r}")
+    if count < 0:
+        raise CliError(f"{flag} must be nonnegative, got {count}")
+    return count
 
 
 def _cmd_ber_sweep(args: argparse.Namespace, spec: CodeSpec) -> None:
@@ -382,7 +385,7 @@ def _cmd_ber_sweep(args: argparse.Namespace, spec: CodeSpec) -> None:
 
 def _cmd_power_compare(args: argparse.Namespace, spec: CodeSpec) -> None:
     if args.frames < 0:
-        raise CliError("--frames must be nonnegative")
+        raise CliError(f"--frames must be nonnegative, got {args.frames}")
     bits = args.frames * spec.payload_length
     cfg = SweepConfig(ebno_points=(args.ebno,), min_info_bits=bits, max_info_bits=bits,
                       stop_at_errors=0, seed=args.seed, spec=spec)

@@ -83,35 +83,112 @@ def test_decode_activity_csv(tmp_path, payload_file):
     assert lines[1] == f"trace-back,{n},{2560 * n},{2560 * n},{40 * n}"
 
 
-def test_malformed_line_diagnostic(tmp_path, capsys):
-    bad = tmp_path / "bad.txt"
-    bad.write_text("0" * 34 + "\n01x0\n")
-    code = run(["encode", "-i", str(bad), "-o", str(tmp_path / "out.txt")])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert "line 2" in err
-    assert "invalid character" in err
-    assert not (tmp_path / "out.txt").exists()  # no partial output
+_PAYLOAD, _CODED = b"0" * 34 + b"\n", b"0" * 80 + b"\n"
+_CHARS = "(frames are lines of '0'/'1')"
+_SPEC = "bad code parameters (-K/--generators/-L):"
+_POSITION = "error position 99 out of range for a 80-bit frame"
+_NO_DIR = "cannot write missing/out.txt: No such file or directory"
+_SWEEP = ["ber-sweep", "--min-bits", "0", "--max-bits", "1000", "-o", "out.csv"]
+_RANGE = "is out of range: 10^(dB/10) must be a finite positive number"
+_VARIANCE = "is out of range: the noise variance at code rate 0.5 is not finite"
 
 
-def test_short_line_with_bad_character_reports_the_character(tmp_path, capsys):
-    bad = tmp_path / "bad.txt"
-    bad.write_text("0" * 34 + "\n" + "0" * 34 + "\n01 1\n")
-    assert run(["encode", "-i", str(bad), "-o", "-"]) == 1
-    err = capsys.readouterr().err
-    assert "line 3: invalid character ' '" in err
-    assert "34 bits" not in err
-
-
-def test_non_ascii_file_is_a_line_numbered_diagnostic(tmp_path, capsys):
-    bad = tmp_path / "bad.txt"
-    bad.write_bytes(b"0000\xc3\xa9" + b"0" * 28 + b"\n")
-    out = tmp_path / "out.txt"
-    assert run(["encode", "-i", str(bad), "-o", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1
-    assert "line 1: invalid character" in err
-    assert not out.exists()
+@pytest.mark.parametrize("files, argv, message", [
+    pytest.param({"bad.txt": _PAYLOAD + b"01x0\n"}, ["encode", "-i", "bad.txt", "-o", "out.txt"],
+                 f"line 2: invalid character 'x' {_CHARS}", id="bad-char"),
+    pytest.param({"bad.txt": _PAYLOAD * 2 + b"01 1\n"}, ["encode", "-i", "bad.txt"],
+                 f"line 3: invalid character ' ' {_CHARS}", id="short-line-bad-char"),
+    pytest.param({"bad.txt": b"0000\xc3\xa9" + b"0" * 28 + b"\n"},
+                 ["encode", "-i", "bad.txt", "-o", "out.txt"],
+                 f"line 1: invalid character '\\udcc3' {_CHARS}", id="non-ascii-byte"),
+    pytest.param({"bad.txt": b"0101\n"}, ["encode", "-i", "bad.txt"],
+                 "line 1: payload frame must be 34 bits, got 4", id="wrong-length-line"),
+    pytest.param({}, ["encode", "-i", "nope", "-o", "out.txt"],
+                 "cannot read nope: No such file or directory", id="missing-input"),
+    pytest.param({"coded.txt": _CODED * 8}, ["inject-errors", "--positions", "99", "-i",
+                                             "coded.txt"], _POSITION, id="position-out-of-range"),
+    pytest.param({"empty.txt": b""}, ["inject-errors", "--positions", "99", "-i", "empty.txt",
+                                      "-o", "out.txt"], _POSITION, id="position-on-empty-input"),
+    pytest.param({"coded.txt": _CODED},
+                 ["inject-errors", "--positions", "3,x", "-i", "coded.txt", "-o", "out.txt"],
+                 "--positions must be comma-separated integers, got '3,x'",
+                 id="positions-not-ints"),
+    pytest.param({"coded.txt": _CODED}, ["oracle-decode", "-i", "coded.txt"],
+                 "oracle-decode enumerates 2^34 payloads; the guard is 24 payload bits "
+                 "(use 'decode')", id="oracle-guard"),
+    pytest.param({}, ["--generators", "171", "--spec-dump"],
+                 f"{_SPEC} expected two comma-separated octal generators, got '171'",
+                 id="one-generator"),
+    # K = 40 would need 2^40-entry tables: the spec is refused before any is built
+    pytest.param({}, ["-K", "40", "--generators", "1,3", "-L", "40", "encode", "-i", os.devnull],
+                 f"{_SPEC} constraint length must be at most 16, got 40",
+                 id="constraint-length-cap"),
+    pytest.param({}, ["-K", "3", "--generators", "6,5", "-L", "5", "--spec-dump"],
+                 f"{_SPEC} catastrophic generator pair 6,5: g1(D) and g2(D) share a factor "
+                 "other than a power of D", id="catastrophic"),
+    pytest.param({}, ["ber-sweep", "--ebno", "4:0:8"],
+                 "--ebno range step must be positive", id="ebno-step-zero"),
+    pytest.param({}, ["ber-sweep", "--ebno", "1:2", "-o", "ber.csv"],
+                 "--ebno range must be start:step:stop, got '1:2'", id="ebno-range-two-parts"),
+    pytest.param({}, ["ber-sweep", "--ebno", "abc", "-o", "ber.csv"],
+                 "--ebno must be numeric, got 'abc'", id="ebno-not-numeric"),
+    pytest.param({}, ["ber-sweep", "--ebno", "5:1:4", "--min-bits", "0", "-o", "ber.csv"],
+                 "ebno_points must name at least one Eb/N0 point", id="empty-ebno-range"),
+    pytest.param({}, ["ber-sweep", "--ebno", "6", "--max-bits", "5e4", "-o", "ber.csv"],
+                 "--min-bits 100000 exceeds --max-bits 50000", id="min-bits-over-max-bits"),
+    pytest.param({}, ["ber-sweep", "--ebno", "6", "--stop-errors", "-1", "-o", "ber.csv"],
+                 "--stop-errors must be nonnegative, got -1", id="negative-stop-errors"),
+    pytest.param({}, ["ber-sweep", "--ebno", "6", "--min-bits", "-1", "-o", "ber.csv"],
+                 "--min-bits must be nonnegative, got -1", id="negative-min-bits"),
+    pytest.param({}, ["ber-sweep", "--ebno", "6", "--max-bits", "-1", "-o", "ber.csv"],
+                 "--max-bits must be nonnegative, got -1", id="negative-max-bits"),
+    # the runner decodes at least one whole frame per cell, which a 0-bit budget cannot pay for
+    pytest.param({}, ["ber-sweep", "--ebno", "6", "--min-bits", "0", "--max-bits", "0", "-o",
+                      "ber.csv"], "--max-bits must be positive, got 0", id="zero-bit-budget"),
+    pytest.param({}, ["ber-sweep", "--ebno", "4", "--min-bits", "0", "--max-bits", "100.7"],
+                 "--max-bits must be a whole number, got '100.7'", id="fractional-max-bits"),
+    pytest.param({}, ["ber-sweep", "--ebno", "1", "--max-bits", "inf", "-o", "ber.csv"],
+                 "--max-bits must be a finite number, got 'inf'", id="max-bits-inf"),
+    pytest.param({}, ["ber-sweep", "--ebno", "1", "--min-bits", "1e400", "-o", "ber.csv"],
+                 "--min-bits must be a finite number, got '1e400'", id="min-bits-1e400"),
+    pytest.param({}, ["ber-sweep", "--ebno", "1", "--max-bits", "nan", "-o", "ber.csv"],
+                 "--max-bits must be a finite number, got 'nan'", id="max-bits-nan"),
+    # 10^(dB/10) overflows above about 3080 dB and is 0.0 below about -3240 dB;
+    # at -3200 dB it is subnormal and the rate-1/2 noise variance is infinite
+    pytest.param({}, [*_SWEEP, "--ebno=4000"], f"Eb/N0 of 4000.0 dB {_RANGE}",
+                 id="sweep-ebno-4000"),
+    pytest.param({}, [*_SWEEP, "--ebno=-4000"], f"Eb/N0 of -4000.0 dB {_RANGE}",
+                 id="sweep-ebno-minus-4000"),
+    pytest.param({}, [*_SWEEP, "--ebno=2,-4000"], f"Eb/N0 of -4000.0 dB {_RANGE}",
+                 id="sweep-list-minus-4000"),
+    pytest.param({}, [*_SWEEP, "--ebno", "0,-3200"], f"Eb/N0 of -3200.0 dB {_VARIANCE}",
+                 id="sweep-list-minus-3200"),
+    pytest.param({}, ["power-compare", "--ebno=4000", "-o", "out.csv"],
+                 f"Eb/N0 of 4000.0 dB {_RANGE}", id="power-ebno-4000"),
+    pytest.param({}, ["power-compare", "--ebno=-4000", "-o", "out.csv"],
+                 f"Eb/N0 of -4000.0 dB {_RANGE}", id="power-ebno-minus-4000"),
+    pytest.param({}, ["power-compare", "--ebno=-3200", "--frames", "10", "-o", "out.csv"],
+                 f"Eb/N0 of -3200.0 dB {_VARIANCE}", id="power-ebno-minus-3200"),
+    pytest.param({}, [*_SWEEP, "--ebno", "4", "--seed", "-1"],
+                 "seed must be nonnegative, got -1", id="sweep-negative-seed"),
+    pytest.param({}, ["power-compare", "--frames", "2", "--seed", "-1", "-o", "out.csv"],
+                 "seed must be nonnegative, got -1", id="power-negative-seed"),
+    pytest.param({}, ["power-compare", "--frames", "-1", "-o", "out.csv"],
+                 "--frames must be nonnegative, got -1", id="negative-frames"),
+    pytest.param({"payloads.txt": _PAYLOAD},
+                 ["encode", "-i", "payloads.txt", "-o", "missing/out.txt"], _NO_DIR,
+                 id="encode-missing-dir"),
+    pytest.param({}, ["power-compare", "--frames", "1", "-o", "missing/out.txt"], _NO_DIR,
+                 id="power-missing-dir"),
+])
+def test_bad_input_is_one_line_and_writes_nothing(tmp_path, monkeypatch, capsys,
+                                                  files, argv, message):
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 1
+    assert capsys.readouterr() == ("", f"convfec: error: {message}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
 
 
 def test_crlf_input_decodes_byte_identically(tmp_path, payload_file):
@@ -200,15 +277,6 @@ def test_irregular_valid_files_parse_to_the_regular_array(irregular):
                           _parse_lines(text, 80, "coded"))
 
 
-def test_wrong_length_line_diagnostic(tmp_path, capsys):
-    bad = tmp_path / "bad.txt"
-    bad.write_text("0101\n")
-    assert run(["encode", "-i", str(bad), "-o", "-"]) == 1
-    err = capsys.readouterr().err
-    assert "line 1" in err
-    assert "34 bits" in err
-
-
 def test_inject_errors_involution(tmp_path, payload_file):
     payloads, _ = payload_file
     coded = tmp_path / "coded.txt"
@@ -225,25 +293,6 @@ def test_inject_errors_involution(tmp_path, payload_file):
         for a, b in zip(la, lb)
     )
     assert flipped == 7 * 8
-
-
-def test_inject_errors_range_diagnostic(tmp_path, payload_file, capsys):
-    payloads, _ = payload_file
-    coded = tmp_path / "coded.txt"
-    run(["encode", "-i", str(payloads), "-o", str(coded)])
-    assert run(["inject-errors", "--positions", "99", "-i", str(coded), "-o", "-"]) == 1
-    assert "out of range" in capsys.readouterr().err
-
-
-def test_inject_errors_range_checked_on_empty_input(tmp_path, capsys):
-    empty = tmp_path / "empty.txt"
-    empty.write_text("")
-    out = tmp_path / "out.txt"
-    assert run(["inject-errors", "--positions", "99", "-i", str(empty), "-o", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1
-    assert "out of range" in err
-    assert not out.exists()
 
 
 def test_seven_error_pattern_end_to_end(tmp_path):
@@ -295,15 +344,6 @@ def test_oracle_decode_enumerates_each_block_once(tmp_path, monkeypatch):
     assert _read(out) == [list(r.best_payload) for r in oracle.ml_decode_frames(words, spec)]
 
 
-def test_oracle_decode_refuses_large_space(tmp_path, capsys):
-    coded = tmp_path / "c.txt"
-    coded.write_text("0" * 80 + "\n")
-    assert run(["oracle-decode", "-i", str(coded), "-o", "-"]) == 1
-    err = capsys.readouterr().err
-    assert "guard" in err
-    assert "decode" in err
-
-
 def test_spec_dump(capsys):
     assert run(["--spec-dump"]) == 0
     out = capsys.readouterr().out
@@ -316,28 +356,6 @@ def test_spec_dump(capsys):
 def test_spec_dump_custom(capsys):
     assert run(["-K", "3", "--generators", "7,5", "-L", "5", "--spec-dump"]) == 0
     assert "states=4" in capsys.readouterr().out
-
-
-def test_bad_spec_flags_diagnostic(capsys):
-    assert run(["--generators", "171", "--spec-dump"]) == 1
-    assert "--generators" in capsys.readouterr().err
-
-
-def test_constraint_length_cap_diagnostic(capsys):
-    # K = 40 would need 2^40-entry tables: the spec is refused before any is built
-    assert run(["-K", "40", "--generators", "1,3", "-L", "40", "encode", "-i", os.devnull]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.count("\n") == 1
-    assert "at most 16" in captured.err
-
-
-def test_catastrophic_generators_diagnostic(capsys):
-    assert run(["-K", "3", "--generators", "6,5", "-L", "5", "--spec-dump"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.count("\n") == 1
-    assert "catastrophic" in captured.err
 
 
 def test_version(capsys):
@@ -384,65 +402,6 @@ def test_ber_sweep_ebno_list(tmp_path):
     assert lines[3].startswith("uncoded-bpsk,3.0,")
 
 
-def test_ber_sweep_bad_ebno(capsys):
-    assert run(["ber-sweep", "--ebno", "4:0:8"]) == 1
-    assert "step" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("flags, message", [
-    (["--max-bits", "5e4"], "--min-bits 100000 exceeds --max-bits 50000"),
-    (["--stop-errors", "-1"], "--stop-errors must be nonnegative, got -1"),
-])
-def test_ber_sweep_budget_diagnostics_name_the_flags(tmp_path, capsys, flags, message):
-    out = tmp_path / "ber.csv"
-    assert run(["ber-sweep", "--ebno", "6", *flags, "-o", str(out)]) == 1
-    assert capsys.readouterr().err == f"convfec: error: {message}\n"
-    assert not out.exists()
-
-
-def test_ber_sweep_rejects_a_zero_bit_budget(tmp_path, capsys):
-    # the runner decodes at least one whole frame per cell, which a 0-bit budget cannot pay for
-    out = tmp_path / "ber.csv"
-    assert run(["ber-sweep", "--ebno", "6", "--min-bits", "0", "--max-bits", "0",
-                "-o", str(out)]) == 1
-    assert capsys.readouterr().err == "convfec: error: --max-bits must be positive, got 0\n"
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("argv", [
-    ["ber-sweep", "--ebno=4000", "--min-bits", "0", "--max-bits", "1000"],
-    ["ber-sweep", "--ebno=-4000", "--min-bits", "0", "--max-bits", "1000"],
-    ["ber-sweep", "--ebno=2,-4000", "--min-bits", "0", "--max-bits", "1000"],
-    ["power-compare", "--ebno=4000"],
-    ["power-compare", "--ebno=-4000"],
-    ["power-compare", "--ebno=-3200", "--frames", "10"],
-    ["ber-sweep", "--ebno", "0,-3200", "--min-bits", "0", "--max-bits", "1000"],
-])
-def test_extreme_ebno_is_one_line(tmp_path, capsys, argv):
-    # 10^(dB/10) overflows above about 3080 dB and is 0.0 below about -3240 dB;
-    # at -3200 dB it is subnormal and the rate-1/2 noise variance is infinite
-    out = tmp_path / "out.csv"
-    assert run([*argv, "-o", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1
-    assert err.startswith("convfec: error: Eb/N0 of ")
-    assert "4000.0 dB" in err or "-3200.0 dB" in err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("argv", [
-    ["ber-sweep", "--ebno", "4", "--min-bits", "0", "--max-bits", "100", "--seed", "-1"],
-    ["power-compare", "--frames", "2", "--seed", "-1"],
-])
-def test_negative_seed_is_one_line(tmp_path, capsys, argv):
-    out = tmp_path / "out.csv"
-    assert run([*argv, "-o", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1
-    assert "seed" in err and "-1" in err
-    assert not out.exists()
-
-
 def _limit_address_space() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
@@ -463,17 +422,6 @@ def test_ber_sweep_endless_ebno_range(ebno):
     assert "--ebno range" in result.stderr
 
 
-@pytest.mark.parametrize("flag,value", [("--max-bits", "inf"), ("--min-bits", "1e400"),
-                                        ("--max-bits", "nan")])
-def test_ber_sweep_non_finite_bit_count(tmp_path, capsys, flag, value):
-    out = tmp_path / "ber.csv"
-    assert run(["ber-sweep", "--ebno", "1", flag, value, "-o", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1
-    assert flag in err and "finite" in err
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("text", ["0:1:inf", "0:nan:2", "-inf:1:2", "1,inf", "nan"])
 def test_parse_ebno_rejects_non_finite(text):
     # called directly: a range that never ends must fail before its loop
@@ -481,16 +429,9 @@ def test_parse_ebno_rejects_non_finite(text):
         _parse_ebno(text)
 
 
-@pytest.mark.parametrize("command", [["encode", "-i", "{payloads}"],
-                                     ["power-compare", "--frames", "1"]])
-def test_missing_output_directory_is_one_line(tmp_path, payload_file, capsys, command):
-    payloads, _ = payload_file
-    target = tmp_path / "missing" / "out.txt"
-    argv = [part.format(payloads=payloads) for part in command] + ["-o", str(target)]
-    assert run(argv) == 1
-    err = capsys.readouterr().err
-    assert err == f"convfec: error: cannot write {target}: No such file or directory\n"
-    assert not (tmp_path / "missing").exists()
+def test_an_ebno_range_keeps_a_stop_that_the_float_steps_overshoot():
+    # 0.1 + 0.1 + 0.1 > 0.3: the range's 1e-9 slack keeps the last point
+    assert _parse_ebno("0:0.1:0.3") == (0.0, 0.1, 0.2, 0.3)
 
 
 def test_output_files_get_the_umask_mode_or_keep_their_own(tmp_path, payload_file):

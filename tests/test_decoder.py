@@ -14,6 +14,7 @@ from convfec.decoder import (
     TRACEBACK,
     ActivityReport,
     _acs_kernel,
+    _check_terminal,
     _register_exchange,
     _sentinel,
     _traceback,
@@ -195,6 +196,12 @@ def test_metric_bound_holds_stage_by_stage(default_trellis):
         metric, _ = _acs_kernel(rows[:, : 2 * (t + 1)], default_trellis)
         reachable = metric[:, 0] < _sentinel(metric.dtype)
         assert int(metric[reachable, 0].max()) <= 2 * (t + 1)
+
+
+def test_a_terminal_metric_one_past_the_bound_raises():
+    _check_terminal(np.array([80]), 40)  # 2 per stage is the most a real path can cost
+    with pytest.raises(RuntimeError, match=r"^path metric bound breached: 81 > 2 \* 40 stages$"):
+        _check_terminal(np.array([81]), 40)
 
 
 def test_register_exchange_matches_traceback(default_trellis):

@@ -57,6 +57,8 @@ def test_sweep_config_validation():
         SweepConfig((4.0, 4000.0), min_info_bits=1, max_info_bits=5, stop_at_errors=0, seed=0)
     with pytest.raises(ValueError, match=r"^seed must be nonnegative, got -1$"):
         SweepConfig((4.0,), min_info_bits=1, max_info_bits=5, stop_at_errors=0, seed=-1)
+    with pytest.raises(ValueError, match=r"^min_info_bits must be nonnegative$"):
+        SweepConfig((4.0,), min_info_bits=-1, max_info_bits=5, stop_at_errors=0, seed=0)
 
 
 def test_noiseless_run_has_zero_errors():
@@ -163,6 +165,18 @@ def test_stop_rule_limits_run_length():
     # 0 dB uncoded is error-dense: the stop rule must bite long before the cap
     assert uncoded.bit_errors >= 50
     assert uncoded.info_bits < 1_000_000
+
+
+@pytest.mark.parametrize("cfg, info_bits", [
+    # 60 dB makes no errors, so the first 2048-frame batch meets the target of 0 exactly
+    pytest.param(SweepConfig((60.0,), 0, 10**6, 0, 1), 2048 * 34, id="error-target"),
+    # ten 34-bit frames meet the 340-bit budget exactly
+    pytest.param(SweepConfig((3.0,), 0, 340, 10**9, 1), 340, id="budget"),
+    # a cell runs at least one frame, even on a budget that pays for none
+    pytest.param(SweepConfig((4.0,), 0, 0, 0, 1), 34, id="one-frame-minimum"),
+])
+def test_a_cell_stops_on_the_batch_that_meets_its_stop_rule(cfg, info_bits):
+    assert [point.info_bits for point in ber_sweep(cfg)] == [info_bits, info_bits]
 
 
 def _spy_on_decode_frames(monkeypatch, flip_frame=None):

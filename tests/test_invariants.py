@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from convfec.channel import NoiseConfig, hard_quantize, inject_errors
-from convfec.cli import run
 from convfec.decoder import TRACEBACK, ActivityReport
 from convfec.harness import SweepConfig, ber_sweep, format_ber_csv
 from convfec.trellis import DEFAULT_SPEC, CodeSpec, free_distance
@@ -58,15 +57,6 @@ def test_sweep_config_rejects_empty_points():
     with pytest.raises(ValueError, match="at least one Eb/N0 point"):
         SweepConfig(ebno_points=(), min_info_bits=0, max_info_bits=34,
                     stop_at_errors=0, seed=0)
-
-
-def test_cli_empty_ebno_range_is_an_error(tmp_path, capsys):
-    out = tmp_path / "ber.csv"
-    assert run(["ber-sweep", "--ebno", "5:1:4", "--min-bits", "0", "-o", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1
-    assert "at least one Eb/N0 point" in err
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
