@@ -32,17 +32,13 @@ def ebno_ratio(ebno_db: float) -> float:
 
 
 class NoiseConfig(_Value):
-    """AWGN operating point.  Noise is reproducible for a given seed; the
-    generator is numpy's PCG64 with ziggurat Gaussian sampling."""
+    """AWGN operating point: Eb/N0 in dB and the code rate that spreads Eb."""
 
-    def __init__(self, ebno_db: float, code_rate: float = 0.5, seed: int = 0) -> None:
+    def __init__(self, ebno_db: float, code_rate: float = 0.5) -> None:
         ebno_ratio(_real(ebno_db, "ebno_db"))
         if not 0.0 < _real(code_rate, "code_rate") <= 1.0:
             raise ValueError(f"code_rate must be in (0, 1], got {code_rate!r}")
-        seed = _index(seed, "seed")
-        if seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {seed}")
-        self._set(ebno_db=ebno_db, code_rate=code_rate, seed=seed)
+        self._set(ebno_db=ebno_db, code_rate=code_rate)
         try:  # 2 * rate * 10^(dB/10) may be subnormal, or underflow to 0
             finite = math.isfinite(self.noise_variance)
         except ZeroDivisionError:
@@ -66,20 +62,10 @@ def bpsk_modulate(bits: Sequence[int]) -> np.ndarray:
     return 1.0 - 2.0 * arr
 
 
-def add_awgn(
-    symbols: np.ndarray,
-    cfg: NoiseConfig,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Add white Gaussian noise at the operating point of ``cfg``.
-
-    With ``rng=None`` a fresh generator is seeded from ``cfg.seed``, making
-    the call a pure function of its arguments; pass an explicit generator
-    to draw from a longer reproducible stream.
-    """
+def add_awgn(symbols: np.ndarray, cfg: NoiseConfig, rng: np.random.Generator) -> np.ndarray:
+    """Add white Gaussian noise at the operating point of ``cfg``, drawn from
+    ``rng`` (one ``standard_normal`` sample per symbol)."""
     arr = np.asarray(symbols, dtype=np.float64)
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
     return arr + cfg.noise_sigma * rng.standard_normal(arr.shape)
 
 

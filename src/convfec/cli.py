@@ -151,19 +151,19 @@ def _ber_sweep_arguments(parser: argparse.ArgumentParser) -> None:
                         help="minimum information bits per point (default 1e5)")
     parser.add_argument("--max-bits", default="1e7", metavar="N",
                         help="information-bit budget per point (default 1e7)")
-    parser.add_argument("--stop-errors", type=int, default=200, metavar="N",
+    parser.add_argument("--stop-errors", default="200", metavar="N",
                         help="stop a point after this many bit errors (default 200)")
-    parser.add_argument("--seed", type=int, default=0, help="sweep seed (default 0)")
+    parser.add_argument("--seed", default="0", help="sweep seed (default 0)")
     parser.add_argument("-o", "--out", default="-", metavar="PATH",
                         help="CSV output path ('-' for stdout)")
 
 
 def _power_compare_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--frames", type=int, default=1000, metavar="N",
+    parser.add_argument("--frames", default="1000", metavar="N",
                         help="frames to decode under each scheme (default 1000)")
     parser.add_argument("--ebno", type=float, default=4.0, metavar="DB",
                         help="channel Eb/N0 in dB (default 4)")
-    parser.add_argument("--seed", type=int, default=0, help="run seed (default 0)")
+    parser.add_argument("--seed", default="0", help="run seed (default 0)")
     parser.add_argument("-o", "--out", default="-", metavar="PATH",
                         help="CSV output path ('-' for stdout)")
 
@@ -226,41 +226,55 @@ def _format_frames(frames: np.ndarray) -> bytes:
     return text.tobytes()
 
 
-def _write(path: str, data: bytes) -> None:
-    """Write ``data`` to stdout ('-') or to ``path``, through a symlink to its target.  A
-    regular file is replaced whole by a rename, so no reader sees part of it; it keeps an
-    existing file's mode, else ``0o666`` less the umask.  A FIFO or device is written in place."""
-    if path == "-":
-        _write_stdout(data)
-        return
-    target, tmp = path, None  # as given: abspath would collapse ".." across a symlink
-    if os.path.islink(target):  # realpath alone would lstat every component of every path
-        target = os.path.realpath(target)
+def _write(*outputs: tuple[str, bytes]) -> None:
+    """Write each ``(path, data)`` to stdout ('-') or to ``path``, through a symlink to its
+    target.  A regular file is replaced whole by a rename, so no reader sees part of it, and
+    every one is staged in its temp file before the first rename, so a failure writes none.
+    It keeps an existing file's mode, else ``0o666`` less the umask.  Stdout, a FIFO or a
+    device is written in place, after the staging."""
+    staged: list[tuple[str, str, str]] = []  # (path, temp file, target), in output order
+    in_place: list[tuple[str, str, bytes]] = []  # (path, target, data)
     try:
-        try:
-            mode = os.stat(target).st_mode
-        except FileNotFoundError:
-            mode = None
-        if mode is not None and not stat.S_ISREG(mode):
-            with open(target, "wb") as fp:
-                fp.write(data)
-            return
-        while tmp is None:  # made 0o666, so the kernel applies the umask
-            name = os.path.join(os.path.dirname(target), f".convfec-{os.urandom(8).hex()}")
-            try:
-                fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_CLOEXEC, 0o666)
-            except FileExistsError:
+        for path, data in outputs:
+            target, tmp = path, None  # as given: abspath would collapse ".." across a symlink
+            if path == "-":
+                in_place.append((path, target, data))
                 continue
-            tmp = name
-        with os.fdopen(fd, "wb") as fp:
-            if mode is not None:
-                os.fchmod(fd, stat.S_IMODE(mode))
-            fp.write(data)
-        os.replace(tmp, target)
+            if os.path.islink(target):  # realpath alone would lstat every component of every path
+                target = os.path.realpath(target)
+            try:
+                mode = os.stat(target).st_mode
+            except FileNotFoundError:
+                mode = None
+            if mode is not None and not stat.S_ISREG(mode):
+                in_place.append((path, target, data))
+                continue
+            while tmp is None:  # made 0o666, so the kernel applies the umask
+                name = os.path.join(os.path.dirname(target), f".convfec-{os.urandom(8).hex()}")
+                try:
+                    fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_CLOEXEC, 0o666)
+                except FileExistsError:
+                    continue
+                tmp = name
+            staged.append((path, tmp, target))
+            with os.fdopen(fd, "wb") as fp:
+                if mode is not None:
+                    os.fchmod(fd, stat.S_IMODE(mode))
+                fp.write(data)
+        for path, target, data in in_place:
+            if path == "-":
+                _write_stdout(data)
+            else:
+                with open(target, "wb") as fp:
+                    fp.write(data)
+        for path, tmp, target in staged:
+            os.replace(tmp, target)
     except OSError as exc:
-        if tmp is not None and os.path.exists(tmp):
-            os.unlink(tmp)
         raise CliError(f"cannot write {path}: {exc.strerror}") from exc
+    finally:  # a temp file that was renamed no longer exists
+        for _, tmp, _ in staged:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
 
 
 def _write_stdout(data: bytes) -> None:
@@ -293,7 +307,7 @@ def _spec_summary(spec: CodeSpec) -> str:
 def _cmd_encode(args: argparse.Namespace, spec: CodeSpec) -> None:
     trellis = build_trellis(spec)
     payloads = _read_frames(args.input, spec.payload_length, "payload")
-    _write(args.output, _format_frames(encode_frames(payloads, trellis)))
+    _write((args.output, _format_frames(encode_frames(payloads, trellis))))
 
 
 def _cmd_decode(args: argparse.Namespace, spec: CodeSpec) -> None:
@@ -301,10 +315,11 @@ def _cmd_decode(args: argparse.Namespace, spec: CodeSpec) -> None:
     frames = _read_frames(args.input, 2 * spec.frame_stages, "coded")
     scheme = TRACEBACK if args.scheme == "traceback" else REGISTER_EXCHANGE
     decoded, _ = decode_frames(frames, trellis, scheme)
-    _write(args.output, _format_frames(decoded[:, : spec.payload_length]))
+    outputs = [(args.output, _format_frames(decoded[:, : spec.payload_length]))]
     if args.activity is not None:
         report = ActivityReport.for_frames(spec, scheme, len(frames))
-        _write(args.activity, _activity_csv(len(frames), [report]).encode())
+        outputs.append((args.activity, _activity_csv(len(frames), [report]).encode()))
+    _write(*outputs)
 
 
 def _cmd_oracle_decode(args: argparse.Namespace, spec: CodeSpec) -> None:
@@ -315,7 +330,7 @@ def _cmd_oracle_decode(args: argparse.Namespace, spec: CodeSpec) -> None:
         )
     frames = _read_frames(args.input, 2 * spec.frame_stages, "coded")
     payloads = np.array([r.best_payload for r in ml_decode_frames(frames, spec)], dtype=np.uint8)
-    _write(args.output, _format_frames(payloads.reshape(-1, spec.payload_length)))
+    _write((args.output, _format_frames(payloads.reshape(-1, spec.payload_length))))
 
 
 def _cmd_inject_errors(args: argparse.Namespace, spec: CodeSpec) -> None:
@@ -324,7 +339,7 @@ def _cmd_inject_errors(args: argparse.Namespace, spec: CodeSpec) -> None:
     except ValueError:
         raise CliError(f"--positions must be comma-separated integers, got {args.positions!r}")
     frames = _read_frames(args.input, 2 * spec.frame_stages, "coded")
-    _write(args.output, _format_frames(inject_errors(frames, positions)))
+    _write((args.output, _format_frames(inject_errors(frames, positions))))
 
 
 def _parse_ebno(text: str) -> tuple[float, ...]:
@@ -355,9 +370,9 @@ def _parse_ebno(text: str) -> tuple[float, ...]:
     return tuple(points)
 
 
-def _parse_bit_count(text: str, flag: str) -> int:
-    try:
-        value = float(text)
+def _parse_count(text: str, flag: str) -> int:
+    try:  # an integer literal is read exactly, other notation (1e5) through float
+        value = int(text) if text.strip().lstrip("+-").isdecimal() else float(text)
         count = int(value)  # ValueError: nan; OverflowError: inf, or 1e400 read as inf
     except (ValueError, OverflowError):
         raise CliError(f"{flag} must be a finite number, got {text!r}") from None
@@ -370,26 +385,22 @@ def _parse_bit_count(text: str, flag: str) -> int:
 
 def _cmd_ber_sweep(args: argparse.Namespace, spec: CodeSpec) -> None:
     ebno = _parse_ebno(args.ebno)
-    low = _parse_bit_count(args.min_bits, "--min-bits")
-    high = _parse_bit_count(args.max_bits, "--max-bits")
+    low = _parse_count(args.min_bits, "--min-bits")
+    high = _parse_count(args.max_bits, "--max-bits")
     if high == 0:  # the runner decodes at least one whole frame per cell
         raise CliError("--max-bits must be positive, got 0")
     if low > high:
         raise CliError(f"--min-bits {low} exceeds --max-bits {high}")
-    if args.stop_errors < 0:
-        raise CliError(f"--stop-errors must be nonnegative, got {args.stop_errors}")
     cfg = SweepConfig(ebno_points=ebno, min_info_bits=low, max_info_bits=high,
-                      stop_at_errors=args.stop_errors, seed=args.seed, spec=spec)
-    _write(args.out, format_ber_csv(ber_sweep(cfg)).encode())
+                      stop_at_errors=_parse_count(args.stop_errors, "--stop-errors"),
+                      seed=_parse_count(args.seed, "--seed"), spec=spec)
+    _write((args.out, format_ber_csv(ber_sweep(cfg)).encode()))
 
 
 def _cmd_power_compare(args: argparse.Namespace, spec: CodeSpec) -> None:
-    if args.frames < 0:
-        raise CliError(f"--frames must be nonnegative, got {args.frames}")
-    bits = args.frames * spec.payload_length
-    cfg = SweepConfig(ebno_points=(args.ebno,), min_info_bits=bits, max_info_bits=bits,
-                      stop_at_errors=0, seed=args.seed, spec=spec)
-    _write(args.out, format_power_csv(power_compare(cfg)).encode())
+    result = power_compare(args.ebno, _parse_count(args.frames, "--frames"),
+                           _parse_count(args.seed, "--seed"), spec)
+    _write((args.out, format_power_csv(result).encode()))
 
 
 # each command's help line, argument adder and handler, in help order

@@ -51,8 +51,7 @@ class SweepConfig(_Value):
     Each point accumulates at least ``min_info_bits`` information bits and
     stops at ``stop_at_errors`` bit errors or ``max_info_bits``, whichever
     comes first.  The rule is checked after each batch, so every point runs
-    at least one frame, even at ``max_info_bits=0`` (``power_compare`` reads
-    that budget as zero frames).
+    at least one frame, even at ``max_info_bits=0``.
     """
 
     def __init__(self, ebno_points: tuple[float, ...], min_info_bits: int, max_info_bits: int,
@@ -140,28 +139,36 @@ def ber_sweep(cfg: SweepConfig) -> list[BerPoint]:
 
 
 class PowerCompareResult(_Value):
-    """Aggregated activity for the same frames decoded under both schemes.
-
-    ``survivor_write_ratio`` is register-exchange writes over trace-back
-    writes, exactly ``(frame_stages + 1) / 2``; ``None`` when no frames ran.
-    """
+    """Aggregated activity for the same frames decoded under both schemes."""
 
     def __init__(self, traceback: ActivityReport, register_exchange: ActivityReport,
-                 frames: int, survivor_write_ratio: float | None) -> None:
-        self._set(traceback=traceback, register_exchange=register_exchange, frames=frames,
-                  survivor_write_ratio=survivor_write_ratio)
+                 frames: int) -> None:
+        self._set(traceback=traceback, register_exchange=register_exchange, frames=frames)
+
+    @property
+    def survivor_write_ratio(self) -> float | None:
+        """Register-exchange writes over trace-back writes, exactly
+        ``(frame_stages + 1) / 2``; ``None`` when no frames ran."""
+        if not self.frames:
+            return None
+        return self.register_exchange.survivor_bit_writes / self.traceback.survivor_bit_writes
 
 
-def power_compare(cfg: SweepConfig) -> PowerCompareResult:
-    """Decode one noisy frame set under both survivor schemes and compare.
+def power_compare(ebno_db: float, frames: int, seed: int,
+                  spec: CodeSpec = DEFAULT_SPEC) -> PowerCompareResult:
+    """Decode ``frames`` noisy frames at ``ebno_db`` under both survivor schemes
+    and compare; the payloads and noise come from ``default_rng(seed)``.
 
-    The frame count is ``max_info_bits // payload_length`` and the channel
-    runs at ``ebno_points[0]``.  Any mismatch between the two schemes'
-    outputs is an invariant breach and raises.
+    Any mismatch between the two schemes' outputs is an invariant breach and
+    raises.
     """
-    spec = cfg.spec
+    frames = _index(frames, "frames")
+    if frames < 0:
+        raise ValueError(f"frames must be nonnegative, got {frames}")
+    bits = frames * spec.payload_length
+    # built even at 0 frames, so that a bad Eb/N0 or seed is refused there too
+    exact = SweepConfig((_real(ebno_db, "ebno_db"),), bits, bits, 0, seed, spec)
     trellis = build_trellis(spec)
-    frames = cfg.max_info_bits // spec.payload_length
     done = 0  # frames decoded by earlier batches
 
     def receive(received: np.ndarray) -> np.ndarray:
@@ -176,15 +183,10 @@ def power_compare(cfg: SweepConfig) -> PowerCompareResult:
         return tb_bits[:, :spec.payload_length]
 
     if frames:  # the runner runs at least one batch; its budget here is exactly `frames`
-        bits = frames * spec.payload_length
-        exact = SweepConfig(cfg.ebno_points, bits, bits, 0, cfg.seed, spec)
-        _run_point(exact, CODED_VITERBI, cfg.ebno_points[0], 0.5, np.random.default_rng(cfg.seed),
+        _run_point(exact, CODED_VITERBI, ebno_db, 0.5, np.random.default_rng(exact.seed),
                    lambda payloads: encode_frames(payloads, trellis), receive)
-
-    traceback = ActivityReport.for_frames(spec, TRACEBACK, frames)
-    register_exchange = ActivityReport.for_frames(spec, REGISTER_EXCHANGE, frames)
-    ratio = register_exchange.survivor_bit_writes / traceback.survivor_bit_writes if frames else None
-    return PowerCompareResult(traceback, register_exchange, frames, ratio)
+    return PowerCompareResult(ActivityReport.for_frames(spec, TRACEBACK, frames),
+                              ActivityReport.for_frames(spec, REGISTER_EXCHANGE, frames), frames)
 
 
 def format_ber_csv(points: Iterable[BerPoint]) -> str:

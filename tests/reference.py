@@ -114,6 +114,18 @@ def ml_enumerate(received, spec: CodeSpec) -> tuple[tuple[int, ...], int, int]:
     return best_payload, best_distance, count
 
 
+def codeword_distances(received: np.ndarray, spec: CodeSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Every payload ``(2^p, p)``, in ``ml_enumerate``'s order, and the Hamming
+    distances ``(n, 2^p)`` from each ``(n, 2L)`` received 0/1 row to each
+    payload's ``reference_encode`` codeword, as ``|r| + |c| - 2 r.c``."""
+    p = spec.payload_length
+    payloads = (np.arange(1 << p)[:, None] >> np.arange(p - 1, -1, -1)) & 1
+    codewords = np.array([reference_encode(row, spec) for row in payloads.tolist()])
+    rows = np.asarray(received, dtype=np.int64)
+    inner = rows @ codewords.T
+    return payloads, rows.sum(axis=1)[:, None] + codewords.sum(axis=1)[None, :] - 2 * inner
+
+
 def gaussian_tail(x: float, nodes: int = 800) -> float:
     """Q(x) by Gauss-Legendre quadrature of the normal density.
 

@@ -138,6 +138,8 @@ _VARIANCE = "is out of range: the noise variance at code rate 0.5 is not finite"
                  "--min-bits 100000 exceeds --max-bits 50000", id="min-bits-over-max-bits"),
     pytest.param({}, ["ber-sweep", "--ebno", "6", "--stop-errors", "-1", "-o", "ber.csv"],
                  "--stop-errors must be nonnegative, got -1", id="negative-stop-errors"),
+    pytest.param({}, ["ber-sweep", "--ebno", "6", "--stop-errors", "1.5", "-o", "ber.csv"],
+                 "--stop-errors must be a whole number, got '1.5'", id="fractional-stop-errors"),
     pytest.param({}, ["ber-sweep", "--ebno", "6", "--min-bits", "-1", "-o", "ber.csv"],
                  "--min-bits must be nonnegative, got -1", id="negative-min-bits"),
     pytest.param({}, ["ber-sweep", "--ebno", "6", "--max-bits", "-1", "-o", "ber.csv"],
@@ -170,16 +172,32 @@ _VARIANCE = "is out of range: the noise variance at code rate 0.5 is not finite"
     pytest.param({}, ["power-compare", "--ebno=-3200", "--frames", "10", "-o", "out.csv"],
                  f"Eb/N0 of -3200.0 dB {_VARIANCE}", id="power-ebno-minus-3200"),
     pytest.param({}, [*_SWEEP, "--ebno", "4", "--seed", "-1"],
-                 "seed must be nonnegative, got -1", id="sweep-negative-seed"),
+                 "--seed must be nonnegative, got -1", id="sweep-negative-seed"),
     pytest.param({}, ["power-compare", "--frames", "2", "--seed", "-1", "-o", "out.csv"],
-                 "seed must be nonnegative, got -1", id="power-negative-seed"),
+                 "--seed must be nonnegative, got -1", id="power-negative-seed"),
+    pytest.param({}, ["power-compare", "--frames", "2", "--seed", "2.5", "-o", "out.csv"],
+                 "--seed must be a whole number, got '2.5'", id="fractional-seed"),
     pytest.param({}, ["power-compare", "--frames", "-1", "-o", "out.csv"],
                  "--frames must be nonnegative, got -1", id="negative-frames"),
+    pytest.param({}, ["power-compare", "--frames", "x", "-o", "out.csv"],
+                 "--frames must be a finite number, got 'x'", id="frames-not-numeric"),
     pytest.param({"payloads.txt": _PAYLOAD},
                  ["encode", "-i", "payloads.txt", "-o", "missing/out.txt"], _NO_DIR,
                  id="encode-missing-dir"),
     pytest.param({}, ["power-compare", "--frames", "1", "-o", "missing/out.txt"], _NO_DIR,
                  id="power-missing-dir"),
+    # decode stages both outputs before renaming either, so neither failing write leaves one
+    pytest.param({"coded.txt": _CODED}, ["decode", "-i", "coded.txt", "-o", "out.txt",
+                                         "--activity", "missing/a.csv"],
+                 "cannot write missing/a.csv: No such file or directory",
+                 id="decode-activity-missing-dir"),
+    pytest.param({"coded.txt": _CODED}, ["decode", "-i", "coded.txt", "-o", "missing/out.txt",
+                                         "--activity", "a.csv"], _NO_DIR,
+                 id="decode-output-missing-dir"),
+    pytest.param({"coded.txt": _CODED}, ["decode", "-i", "coded.txt", "--activity",
+                                         "missing/a.csv"],
+                 "cannot write missing/a.csv: No such file or directory",
+                 id="decode-stdout-activity-missing-dir"),
 ])
 def test_bad_input_is_one_line_and_writes_nothing(tmp_path, monkeypatch, capsys,
                                                   files, argv, message):
@@ -506,6 +524,20 @@ def test_an_output_path_through_a_symlinked_directory_is_resolved_as_the_os_does
     with open(out, "rb") as fp:
         assert fp.read() == data
     assert sorted(p.name for p in (tmp_path / "elsewhere").iterdir()) == ["out.txt", "sub"]
+
+
+def test_count_flags_are_read_exactly(tmp_path, monkeypatch):
+    # 2^53 + 1 has no float64; an integer literal must not pass through float
+    assert cli._parse_count("9007199254740993", "--seed") == 9007199254740993
+    monkeypatch.chdir(tmp_path)
+    assert run(["ber-sweep", "--ebno", "2", "--min-bits", "0", "--max-bits", "34",
+                "--stop-errors", "1e3", "--seed", "9007199254740993", "-o", "ber.csv"]) == 0
+    rows = (tmp_path / "ber.csv").read_text().splitlines()[1:]
+    assert [row.rsplit(",", 1)[1] for row in rows] == ["9007199254740993"] * 2
+    assert run(["power-compare", "--frames", "1e1", "--seed", "9007199254740993",
+                "-o", "power.csv"]) == 0
+    rows = (tmp_path / "power.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == ["10", "10"]
 
 
 def test_power_compare_csv(tmp_path):

@@ -24,13 +24,15 @@ from convfec.decoder import (
 from convfec.encoder import encode_frames
 from convfec.trellis import DEFAULT_SPEC, CodeSpec, build_trellis
 
+from reference import codeword_distances
+
 
 def _noisy_frames(trellis, n, ebno_db, seed):
     rng = np.random.default_rng(seed)
     spec = trellis.spec
     payloads = rng.integers(0, 2, size=(n, spec.payload_length), dtype=np.uint8)
     coded = encode_frames(payloads, trellis)
-    cfg = NoiseConfig(ebno_db, code_rate=0.5, seed=seed)
+    cfg = NoiseConfig(ebno_db, code_rate=0.5)
     symbols = add_awgn(bpsk_modulate(coded.ravel()), cfg, rng)
     return payloads, hard_quantize(symbols).reshape(coded.shape)
 
@@ -381,6 +383,21 @@ def test_register_exchange_spans_several_words():
 # code shapes and eight batch sizes: odd and even K, L below and at a 64-bit
 # word edge, and batches of 0, 1, word-edge and multi-block sizes
 _EQUIVALENCE_DIGEST = "22b2273f373c3ece5f5815a2565430c07dca37331aeb1637b965121a87953a55"
+
+
+def test_every_received_word_of_a_small_code_decodes_to_maximum_likelihood():
+    # K=3 7,5 with L=8: all 2^16 received words against all 2^6 codewords
+    spec = CodeSpec.from_octal("7,5", constraint_length=3, frame_stages=8)
+    width = 2 * spec.frame_stages
+    words = ((np.arange(1 << width)[:, None] >> np.arange(width - 1, -1, -1)) & 1).astype(np.uint8)
+    payloads, distances = codeword_distances(words, spec)
+    decoded, metrics = decode_frames(words, build_trellis(spec))
+    nearest = distances.min(axis=1)
+    assert np.array_equal(metrics, nearest)
+    unique = np.count_nonzero(distances == nearest[:, None], axis=1) == 1
+    assert np.count_nonzero(unique) == 41_152
+    best = payloads[distances.argmin(axis=1)]
+    assert np.array_equal(decoded[unique, :spec.payload_length], best[unique])
 
 
 def test_decode_frames_equivalence_digest():

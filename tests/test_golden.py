@@ -37,7 +37,7 @@ def _noisy_file(path, frames=300, ebno_db=2.0, seed=11):
     rng = np.random.default_rng(seed)
     payloads = rng.integers(0, 2, size=(frames, DEFAULT_SPEC.payload_length), dtype=np.uint8)
     coded = encode_frames(payloads, trellis)
-    symbols = add_awgn(bpsk_modulate(coded.ravel()), NoiseConfig(ebno_db, seed=seed), rng)
+    symbols = add_awgn(bpsk_modulate(coded.ravel()), NoiseConfig(ebno_db), rng)
     received = hard_quantize(symbols).reshape(coded.shape)
     path.write_text("".join("".join(map(str, row)) + "\n" for row in received.tolist()))
 

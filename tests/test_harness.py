@@ -200,14 +200,7 @@ def _spy_on_decode_frames(monkeypatch, flip_frame=None):
 
 def test_power_compare_closed_forms():
     frames = 3
-    cfg = SweepConfig(
-        ebno_points=(4.0,),
-        min_info_bits=frames * 34,
-        max_info_bits=frames * 34,
-        stop_at_errors=0,
-        seed=7,
-    )
-    result = power_compare(cfg)
+    result = power_compare(4.0, frames, 7)
     assert result.frames == frames
     assert result.traceback.survivor_bit_writes == 2560 * frames
     assert result.register_exchange.survivor_bit_writes == 52480 * frames
@@ -216,14 +209,7 @@ def test_power_compare_closed_forms():
 
 def test_power_compare_zero_frames(monkeypatch):
     seen = _spy_on_decode_frames(monkeypatch)
-    cfg = SweepConfig(
-        ebno_points=(4.0,),
-        min_info_bits=0,
-        max_info_bits=0,
-        stop_at_errors=0,
-        seed=7,
-    )
-    result = power_compare(cfg)
+    result = power_compare(4.0, 0, 7)
     assert result.frames == 0
     assert result.traceback.survivor_bit_writes == 0
     assert result.register_exchange.survivor_bit_writes == 0
@@ -233,31 +219,28 @@ def test_power_compare_zero_frames(monkeypatch):
 
 def test_power_compare_small_code_ratio():
     spec = CodeSpec.from_octal("7,5", constraint_length=3, frame_stages=5)
-    cfg = SweepConfig(
-        ebno_points=(4.0,),
-        min_info_bits=10 * spec.payload_length,
-        max_info_bits=10 * spec.payload_length,
-        stop_at_errors=0,
-        seed=2,
-        spec=spec,
-    )
-    assert power_compare(cfg).survivor_write_ratio == 3.0
+    assert power_compare(4.0, 10, 2, spec).survivor_write_ratio == 3.0
 
 
 def test_power_compare_names_the_disagreeing_frame_across_batches(monkeypatch):
     # 2500 frames run as batches of 2048 and 452: frame 2100 is row 52 of the second
-    _spy_on_decode_frames(monkeypatch, flip_frame=2100)
-    bits = 2500 * 34
-    cfg = SweepConfig((4.0,), min_info_bits=bits, max_info_bits=bits, stop_at_errors=0, seed=3)
+    seen = _spy_on_decode_frames(monkeypatch, flip_frame=2100)
     with pytest.raises(RuntimeError, match=r"^survivor schemes disagree on frame 2100: bit 0$"):
-        power_compare(cfg)
-
-
-def test_power_compare_frame_count_ignores_the_stop_rule(monkeypatch):
-    seen = _spy_on_decode_frames(monkeypatch)
-    cfg = SweepConfig((4.0,), min_info_bits=0, max_info_bits=2500 * 34, stop_at_errors=0, seed=3)
-    assert power_compare(cfg).frames == 2500
+        power_compare(4.0, 2500, 3)
+    # every frame goes through harness.decode_frames once per scheme. perfbench's traced
+    # `power` check counts 2 * f frames there, so ROADMAP item 2 (one ACS run per batch)
+    # must change this count and that check together
     assert seen == {TRACEBACK: 2500, REGISTER_EXCHANGE: 2500}
+
+
+@pytest.mark.parametrize("ebno_db, frames, seed, message", [
+    pytest.param(4.0, -1, 0, r"^frames must be nonnegative, got -1$", id="negative-frames"),
+    pytest.param(4.0, 0, -1, r"^seed must be nonnegative, got -1$", id="negative-seed"),
+    pytest.param(4000.0, 0, 0, r"^Eb/N0 of 4000\.0 dB is out of range", id="ebno-4000"),
+])
+def test_power_compare_refuses_bad_inputs_even_at_zero_frames(ebno_db, frames, seed, message):
+    with pytest.raises(ValueError, match=message):
+        power_compare(ebno_db, frames, seed)
 
 
 def test_sweep_and_power_csv_digest():
@@ -270,8 +253,7 @@ def test_sweep_and_power_csv_digest():
                 SweepConfig((4.0,), 0, 30000, 0, 3, CodeSpec.from_octal("561,753", 9, 40))):
         digest.update(format_ber_csv(ber_sweep(cfg)).encode())
     for frames, seed in ((400, 1), (5000, 2), (3, 7)):
-        cfg = SweepConfig((4.0,), 0, frames * 34, 0, seed)
-        digest.update(format_power_csv(power_compare(cfg)).encode())
+        digest.update(format_power_csv(power_compare(4.0, frames, seed)).encode())
     assert digest.hexdigest() == (
         "919e0f39303a868cf6b178f6802eef19321a918395ca76c6904f988114abf7cd")
 
@@ -285,14 +267,7 @@ def test_ber_csv_format():
 
 
 def test_power_csv_format():
-    cfg = SweepConfig(
-        ebno_points=(4.0,),
-        min_info_bits=34,
-        max_info_bits=34,
-        stop_at_errors=0,
-        seed=7,
-    )
-    text = format_power_csv(power_compare(cfg))
+    text = format_power_csv(power_compare(4.0, 1, 7))
     lines = text.splitlines()
     assert lines[0] == (
         "scheme,frames,survivor_bit_writes,metric_writes,traceback_reads,"

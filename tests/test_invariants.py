@@ -13,7 +13,7 @@ import pytest
 
 from convfec.channel import NoiseConfig, hard_quantize, inject_errors
 from convfec.decoder import TRACEBACK, ActivityReport
-from convfec.harness import SweepConfig, ber_sweep, format_ber_csv
+from convfec.harness import SweepConfig, ber_sweep, format_ber_csv, power_compare
 from convfec.trellis import DEFAULT_SPEC, CodeSpec, free_distance
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -70,8 +70,7 @@ _FRAMES = np.zeros((2, 8), dtype=np.uint8)
 
 
 @pytest.mark.parametrize("build, field", [
-    pytest.param(lambda: NoiseConfig(0.0, seed=1.5), "seed", id="noise-seed-float"),
-    pytest.param(lambda: NoiseConfig(0.0, seed=True), "seed", id="noise-seed-bool"),
+    pytest.param(lambda: power_compare(4.0, True, 0), "frames", id="power-frames-bool"),
     pytest.param(lambda: SweepConfig((1.0,), 0, 100, 0, seed=1.5), "seed", id="sweep-seed-float"),
     pytest.param(lambda: SweepConfig((1.0,), 0, 100, 0, seed=True), "seed", id="sweep-seed-bool"),
     pytest.param(lambda: SweepConfig((1.0,), 1.5, 100.5, 0, 1), "min_info_bits",
@@ -107,6 +106,7 @@ def test_integer_fields_refuse_other_values_by_name(build, field):
     pytest.param(lambda: NoiseConfig(4.0, code_rate="0.5"), "code_rate", id="noise-rate-str"),
     pytest.param(lambda: NoiseConfig(4.0, code_rate=True), "code_rate", id="noise-rate-bool"),
     pytest.param(lambda: SweepConfig(("1",), 0, 100, 0, 0), "ebno_points", id="sweep-point-str"),
+    pytest.param(lambda: power_compare("4", 0, 0), "ebno_db", id="power-ebno-str"),
     pytest.param(lambda: SweepConfig((True,), 0, 100, 0, 0), "ebno_points",
                  id="sweep-point-bool"),
 ])
@@ -140,7 +140,7 @@ def test_integer_fields_take_numpy_integers():
     spec = CodeSpec(np.int64(7), _GENS, np.uint16(40))
     assert spec == DEFAULT_SPEC
     assert type(spec.constraint_length) is int and type(spec.frame_stages) is int
-    assert type(NoiseConfig(0.0, seed=np.uint32(4)).seed) is int
+    assert type(power_compare(4.0, np.uint32(0), np.uint32(4)).frames) is int
     assert inject_errors(_FRAMES, [np.int64(7)])[:, 7].tolist() == [1, 1]
     assert CodeSpec.from_octal("171,133", constraint_length=np.uint8(7)) == DEFAULT_SPEC
     assert free_distance(DEFAULT_SPEC, np.int64(10)) == 10

@@ -31,8 +31,8 @@ _CASES = [
      "CodeSpec(constraint_length=3, generators=((1, 1, 1), (1, 0, 1)), frame_stages=5)",
      "missing 3 required positional arguments: 'constraint_length', 'generators', and "
      "'frame_stages'"),
-    (NoiseConfig, dict(ebno_db=2.5, code_rate=0.5, seed=7),
-     "NoiseConfig(ebno_db=2.5, code_rate=0.5, seed=7)",
+    (NoiseConfig, dict(ebno_db=2.5, code_rate=0.5),
+     "NoiseConfig(ebno_db=2.5, code_rate=0.5)",
      "missing 1 required positional argument: 'ebno_db'"),
     (SweepConfig, dict(ebno_points=(0.0, 2), min_info_bits=0, max_info_bits=340,
                        stop_at_errors=5, seed=9, spec=_K3),
@@ -53,14 +53,12 @@ _CASES = [
      "traceback_reads=5)",
      "missing 4 required positional arguments: 'scheme', 'survivor_bit_writes', "
      "'metric_writes', and 'traceback_reads'"),
-    (PowerCompareResult, dict(traceback=_TB, register_exchange=_RE, frames=1,
-                              survivor_write_ratio=3.0),
+    (PowerCompareResult, dict(traceback=_TB, register_exchange=_RE, frames=1),
      "PowerCompareResult(traceback=ActivityReport(scheme='trace-back', survivor_bit_writes=20, "
      "metric_writes=20, traceback_reads=5), register_exchange=ActivityReport("
      "scheme='register-exchange', survivor_bit_writes=60, metric_writes=20, traceback_reads=0), "
-     "frames=1, survivor_write_ratio=3.0)",
-     "missing 4 required positional arguments: 'traceback', 'register_exchange', 'frames', "
-     "and 'survivor_write_ratio'"),
+     "frames=1)",
+     "missing 3 required positional arguments: 'traceback', 'register_exchange', and 'frames'"),
     (StreamedFrame, dict(index=0, decoded=[1, 0, 1], final_metric=2, available_at_clock=5,
                          latency_clocks=5),
      "StreamedFrame(index=0, decoded=[1, 0, 1], final_metric=2, available_at_clock=5, "
@@ -128,7 +126,7 @@ def test_missing_arguments_are_named(cls, _, __, message):
 
 
 def test_keyword_construction_takes_the_defaults():
-    assert NoiseConfig(ebno_db=1.0) == NoiseConfig(1.0, 0.5, 0)
+    assert NoiseConfig(ebno_db=1.0) == NoiseConfig(1.0, 0.5)
     default = SweepConfig(ebno_points=(1.0,), min_info_bits=0, max_info_bits=34,
                           stop_at_errors=0, seed=0)
     assert default.spec == CodeSpec.from_octal("171,133", 7, 40)
