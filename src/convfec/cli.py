@@ -62,11 +62,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     parser.add_argument(
-        "-K", "--constraint-length", type=int, default=7, metavar="K",
+        "-K", "--constraint-length", default="7", metavar="K",
         help="constraint length (default 7)",
     )
     parser.add_argument(
-        "-L", "--frame-stages", type=int, default=40, metavar="L",
+        "-L", "--frame-stages", default="40", metavar="L",
         help="encoder inputs per frame including the zero tail (default 40)",
     )
     parser.add_argument(
@@ -161,7 +161,7 @@ def _ber_sweep_arguments(parser: argparse.ArgumentParser) -> None:
 def _power_compare_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--frames", default="1000", metavar="N",
                         help="frames to decode under each scheme (default 1000)")
-    parser.add_argument("--ebno", type=float, default=4.0, metavar="DB",
+    parser.add_argument("--ebno", default="4", metavar="DB",
                         help="channel Eb/N0 in dB (default 4)")
     parser.add_argument("--seed", default="0", help="run seed (default 0)")
     parser.add_argument("-o", "--out", default="-", metavar="PATH",
@@ -172,8 +172,8 @@ def _resolve_spec(args: argparse.Namespace) -> CodeSpec:
     try:
         return CodeSpec.from_octal(
             args.generators,
-            constraint_length=args.constraint_length,
-            frame_stages=args.frame_stages,
+            constraint_length=_parse_count(args.constraint_length, "-K"),
+            frame_stages=_parse_count(args.frame_stages, "-L"),
         )
     except ValueError as exc:
         raise CliError(f"bad code parameters (-K/--generators/-L): {exc}") from exc
@@ -199,7 +199,7 @@ def _parse_lines(data: bytes, expected_len: int, what: str) -> np.ndarray:
     a lone '\\r'; blank lines are skipped but still count in the line numbers."""
     if b"\r" in data:  # the test is far cheaper than the copies on a file without '\r'
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    raw = np.frombuffer(data, dtype=np.uint8)
+    raw = np.frombuffer(data, np.uint8)
     width = expected_len + 1
     if raw.size % width == 0:  # the common case: every line full, bare and terminated
         rows = raw.reshape(-1, width)
@@ -207,7 +207,7 @@ def _parse_lines(data: bytes, expected_len: int, what: str) -> np.ndarray:
         if (rows[:, -1] == _NEWLINE).all() and bits.max(initial=0) <= 1:
             return bits
     lengths = np.diff(np.flatnonzero(raw == _NEWLINE), prepend=-1, append=raw.size) - 1
-    bits = np.frombuffer(data.replace(b"\n", b""), dtype=np.uint8) - ord("0")
+    bits = np.frombuffer(data.replace(b"\n", b""), np.uint8) - ord("0")
     if ((lengths != expected_len) & (lengths > 0)).any() or bits.max(initial=0) > 1:
         for number, line in enumerate(data.split(b"\n"), 1):  # name the first bad line
             if bad := line.lstrip(b"01"):
@@ -221,7 +221,7 @@ def _parse_lines(data: bytes, expected_len: int, what: str) -> np.ndarray:
 
 
 def _format_frames(frames: np.ndarray) -> bytes:
-    text = np.full((frames.shape[0], frames.shape[1] + 1), _NEWLINE, dtype=np.uint8)
+    text = np.full((frames.shape[0], frames.shape[1] + 1), _NEWLINE, np.uint8)
     np.add(frames, ord("0"), out=text[:, :-1])
     return text.tobytes()
 
@@ -232,6 +232,11 @@ def _write(*outputs: tuple[str, bytes]) -> None:
     every one is staged in its temp file before the first rename, so a failure writes none.
     It keeps an existing file's mode, else ``0o666`` less the umask.  Stdout, a FIFO or a
     device is written in place, after the staging."""
+    if len(outputs) > 1:  # one file named twice would keep only its last write
+        real = [os.path.realpath(path) for path, _ in outputs if path != "-"]
+        files = [r for r in real if os.path.isfile(r) or not os.path.exists(r)]
+        if len(set(files)) < len(files):
+            raise CliError(f"outputs {' and '.join(p for p, _ in outputs)} name the same file")
     staged: list[tuple[str, str, str]] = []  # (path, temp file, target), in output order
     in_place: list[tuple[str, str, bytes]] = []  # (path, target, data)
     try:
@@ -329,15 +334,12 @@ def _cmd_oracle_decode(args: argparse.Namespace, spec: CodeSpec) -> None:
             f"the guard is {MAX_PAYLOAD_BITS} payload bits (use 'decode')"
         )
     frames = _read_frames(args.input, 2 * spec.frame_stages, "coded")
-    payloads = np.array([r.best_payload for r in ml_decode_frames(frames, spec)], dtype=np.uint8)
+    payloads = np.array([r.best_payload for r in ml_decode_frames(frames, spec)], np.uint8)
     _write((args.output, _format_frames(payloads.reshape(-1, spec.payload_length))))
 
 
 def _cmd_inject_errors(args: argparse.Namespace, spec: CodeSpec) -> None:
-    try:
-        positions = {int(p) for p in args.positions.split(",") if p.strip() != ""}
-    except ValueError:
-        raise CliError(f"--positions must be comma-separated integers, got {args.positions!r}")
+    positions = {_parse_count(p, "--positions") for p in args.positions.split(",") if p.strip()}
     frames = _read_frames(args.input, 2 * spec.frame_stages, "coded")
     _write((args.output, _format_frames(inject_errors(frames, positions))))
 
@@ -398,7 +400,10 @@ def _cmd_ber_sweep(args: argparse.Namespace, spec: CodeSpec) -> None:
 
 
 def _cmd_power_compare(args: argparse.Namespace, spec: CodeSpec) -> None:
-    result = power_compare(args.ebno, _parse_count(args.frames, "--frames"),
+    ebno = _parse_ebno(args.ebno)
+    if len(ebno) != 1:
+        raise CliError(f"--ebno must name one Eb/N0 point, got {args.ebno!r}")
+    result = power_compare(ebno[0], _parse_count(args.frames, "--frames"),
                            _parse_count(args.seed, "--seed"), spec)
     _write((args.out, format_power_csv(result).encode()))
 

@@ -13,7 +13,8 @@ import math
 import numpy as np
 
 from convfec.cli import CliError
-from convfec.trellis import CodeSpec
+from convfec.decoder import decode_frames
+from convfec.trellis import CodeSpec, build_trellis
 
 
 def reference_encode(payload, spec: CodeSpec) -> list[int]:
@@ -114,16 +115,53 @@ def ml_enumerate(received, spec: CodeSpec) -> tuple[tuple[int, ...], int, int]:
     return best_payload, best_distance, count
 
 
+def _codebook(spec: CodeSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Every payload ``(2^p, p)``, in ``ml_enumerate``'s order, and its
+    ``reference_encode`` codeword ``(2^p, 2L)``."""
+    payloads = _all_words(spec.payload_length)
+    return payloads, np.array([reference_encode(row, spec) for row in payloads.tolist()])
+
+
+def _all_words(width: int) -> np.ndarray:
+    """Every ``width``-bit 0/1 row, row i holding i's bits from the most significant."""
+    return (np.arange(1 << width)[:, None] >> np.arange(width - 1, -1, -1)) & 1
+
+
 def codeword_distances(received: np.ndarray, spec: CodeSpec) -> tuple[np.ndarray, np.ndarray]:
     """Every payload ``(2^p, p)``, in ``ml_enumerate``'s order, and the Hamming
     distances ``(n, 2^p)`` from each ``(n, 2L)`` received 0/1 row to each
     payload's ``reference_encode`` codeword, as ``|r| + |c| - 2 r.c``."""
-    p = spec.payload_length
-    payloads = (np.arange(1 << p)[:, None] >> np.arange(p - 1, -1, -1)) & 1
-    codewords = np.array([reference_encode(row, spec) for row in payloads.tolist()])
+    payloads, codewords = _codebook(spec)
     rows = np.asarray(received, dtype=np.int64)
     inner = rows @ codewords.T
     return payloads, rows.sum(axis=1)[:, None] + codewords.sum(axis=1)[None, :] - 2 * inner
+
+
+def exact_ber(spec: CodeSpec, ebno_db: float) -> tuple[float, float]:
+    """Exact mean and variance of ``decode_frames``' payload bit errors per
+    frame, over uniform payloads sent at code rate 1/2 through the
+    hard-decision AWGN channel, where each coded bit flips independently with
+    p = Q(sqrt(Eb/N0)).
+
+    The decoder is the subject: it decodes each of the 2^(2L) received words
+    once, and every (payload, error pattern e) pair is looked up at
+    ``codeword ^ e``.  The tie rule makes the error count depend on the
+    payload, not only on e, so all payloads are averaged.  Only usable for
+    tiny frames.
+    """
+    width, p = 2 * spec.frame_stages, spec.payload_length
+    words = _all_words(width)
+    decoded = decode_frames(words.astype(np.uint8), build_trellis(spec))[0][:, :p]
+    _, codewords = _codebook(spec)
+    sent = codewords @ (1 << np.arange(width - 1, -1, -1))  # each codeword as its word's index
+    guess = (decoded @ (1 << np.arange(p - 1, -1, -1))).astype(np.uint8)
+    errors = np.bitwise_count(guess[sent[:, None] ^ np.arange(1 << width)]
+                              ^ np.arange(1 << p, dtype=np.uint8)[:, None])  # (payload, e)
+    flip = gaussian_tail(math.sqrt(10 ** (ebno_db / 10)))  # Q(sqrt(2 R Eb/N0)) at R = 1/2
+    flips = words.sum(axis=1)
+    chance = flip ** flips * (1 - flip) ** (width - flips)
+    mean = float((errors @ chance).mean())
+    return mean, float((errors * errors @ chance).mean()) - mean ** 2
 
 
 def gaussian_tail(x: float, nodes: int = 800) -> float:

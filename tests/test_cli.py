@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import io
 import os
 import random
@@ -89,6 +90,7 @@ _SPEC = "bad code parameters (-K/--generators/-L):"
 _POSITION = "error position 99 out of range for a 80-bit frame"
 _NO_DIR = "cannot write missing/out.txt: No such file or directory"
 _SWEEP = ["ber-sweep", "--min-bits", "0", "--max-bits", "1000", "-o", "out.csv"]
+_DECODE = ["decode", "-i", "coded.txt", "-o"]
 _RANGE = "is out of range: 10^(dB/10) must be a finite positive number"
 _VARIANCE = "is out of range: the noise variance at code rate 0.5 is not finite"
 
@@ -111,8 +113,13 @@ _VARIANCE = "is out of range: the noise variance at code rate 0.5 is not finite"
                                       "-o", "out.txt"], _POSITION, id="position-on-empty-input"),
     pytest.param({"coded.txt": _CODED},
                  ["inject-errors", "--positions", "3,x", "-i", "coded.txt", "-o", "out.txt"],
-                 "--positions must be comma-separated integers, got '3,x'",
-                 id="positions-not-ints"),
+                 "--positions must be a finite number, got 'x'", id="positions-not-ints"),
+    pytest.param({"coded.txt": _CODED},
+                 ["inject-errors", "--positions", "1.5", "-i", "coded.txt", "-o", "out.txt"],
+                 "--positions must be a whole number, got '1.5'", id="fractional-position"),
+    pytest.param({"coded.txt": _CODED},
+                 ["inject-errors", "--positions", "-1", "-i", "coded.txt", "-o", "out.txt"],
+                 "--positions must be nonnegative, got -1", id="negative-position"),
     pytest.param({"coded.txt": _CODED}, ["oracle-decode", "-i", "coded.txt"],
                  "oracle-decode enumerates 2^34 payloads; the guard is 24 payload bits "
                  "(use 'decode')", id="oracle-guard"),
@@ -126,6 +133,12 @@ _VARIANCE = "is out of range: the noise variance at code rate 0.5 is not finite"
     pytest.param({}, ["-K", "3", "--generators", "6,5", "-L", "5", "--spec-dump"],
                  f"{_SPEC} catastrophic generator pair 6,5: g1(D) and g2(D) share a factor "
                  "other than a power of D", id="catastrophic"),
+    pytest.param({}, ["-K", "x", "--spec-dump"], "-K must be a finite number, got 'x'",
+                 id="constraint-length-not-numeric"),
+    pytest.param({}, ["-K", "-3", "--spec-dump"], "-K must be nonnegative, got -3",
+                 id="negative-constraint-length"),
+    pytest.param({}, ["-L", "1.5", "--spec-dump"], "-L must be a whole number, got '1.5'",
+                 id="fractional-frame-stages"),
     pytest.param({}, ["ber-sweep", "--ebno", "4:0:8"],
                  "--ebno range step must be positive", id="ebno-step-zero"),
     pytest.param({}, ["ber-sweep", "--ebno", "1:2", "-o", "ber.csv"],
@@ -171,6 +184,12 @@ _VARIANCE = "is out of range: the noise variance at code rate 0.5 is not finite"
                  f"Eb/N0 of -4000.0 dB {_RANGE}", id="power-ebno-minus-4000"),
     pytest.param({}, ["power-compare", "--ebno=-3200", "--frames", "10", "-o", "out.csv"],
                  f"Eb/N0 of -3200.0 dB {_VARIANCE}", id="power-ebno-minus-3200"),
+    pytest.param({}, ["power-compare", "--ebno", "x", "-o", "out.csv"],
+                 "--ebno must be numeric, got 'x'", id="power-ebno-not-numeric"),
+    pytest.param({}, ["power-compare", "--ebno", "nan", "-o", "out.csv"],
+                 "--ebno must be finite, got 'nan'", id="power-ebno-nan"),
+    pytest.param({}, ["power-compare", "--ebno", "1,2", "-o", "out.csv"],
+                 "--ebno must name one Eb/N0 point, got '1,2'", id="power-ebno-two-points"),
     pytest.param({}, [*_SWEEP, "--ebno", "4", "--seed", "-1"],
                  "--seed must be nonnegative, got -1", id="sweep-negative-seed"),
     pytest.param({}, ["power-compare", "--frames", "2", "--seed", "-1", "-o", "out.csv"],
@@ -198,15 +217,29 @@ _VARIANCE = "is out of range: the noise variance at code rate 0.5 is not finite"
                                          "missing/a.csv"],
                  "cannot write missing/a.csv: No such file or directory",
                  id="decode-stdout-activity-missing-dir"),
+    # both would be staged to one file, and the second rename would drop the first output
+    pytest.param({"coded.txt": _CODED}, [*_DECODE, "out.txt", "--activity", "out.txt"],
+                 "outputs out.txt and out.txt name the same file", id="same-new-file"),
+    pytest.param({"coded.txt": _CODED, "out.txt": b"old\n"},
+                 [*_DECODE, "out.txt", "--activity", "./out.txt"],
+                 "outputs out.txt and ./out.txt name the same file", id="same-file-dot-path"),
+    pytest.param({"coded.txt": _CODED, "out.txt": b"old\n", "alias.txt": "out.txt"},
+                 [*_DECODE, "alias.txt", "--activity", "out.txt"],
+                 "outputs alias.txt and out.txt name the same file", id="same-file-symlink"),
 ])
 def test_bad_input_is_one_line_and_writes_nothing(tmp_path, monkeypatch, capsys,
                                                   files, argv, message):
+    # a str value is a symlink's target, bytes a regular file's content
     for name, data in files.items():
-        (tmp_path / name).write_bytes(data)
+        if isinstance(data, str):
+            (tmp_path / name).symlink_to(data)
+        else:
+            (tmp_path / name).write_bytes(data)
     monkeypatch.chdir(tmp_path)
     assert run(argv) == 1
     assert capsys.readouterr() == ("", f"convfec: error: {message}\n")
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+    assert {p.name: os.readlink(p) if p.is_symlink() else p.read_bytes()
+            for p in tmp_path.iterdir()} == files
 
 
 def test_crlf_input_decodes_byte_identically(tmp_path, payload_file):
@@ -540,6 +573,26 @@ def test_count_flags_are_read_exactly(tmp_path, monkeypatch):
     assert [row.split(",")[1] for row in rows] == ["10", "10"]
 
 
+def test_code_flags_and_positions_take_the_count_grammar(tmp_path, capsys):
+    assert run(["-K", "3.0", "--generators", "7,5", "-L", "5", "--spec-dump"]) == 0
+    assert capsys.readouterr().out.startswith("constraint_length=3 generators_octal=7,5 "
+                                              "frame_stages=5 ")
+    coded = tmp_path / "coded.txt"
+    coded.write_bytes(_CODED)
+    assert run(["inject-errors", "--positions", "1e1", "-i", str(coded)]) == 0
+    assert capsys.readouterr().out == "0" * 10 + "1" + "0" * 69 + "\n"
+
+
+@pytest.mark.parametrize("path", ["-", os.devnull])
+def test_both_decode_outputs_may_go_to_stdout_or_a_device(tmp_path, capsys, path):
+    coded = tmp_path / "coded.txt"
+    coded.write_bytes(_CODED)
+    assert run(["decode", "-i", str(coded), "-o", path, "--activity", path]) == 0
+    assert capsys.readouterr().out == ("" if path == os.devnull else (
+        "0" * 34 + "\nscheme,frames,survivor_bit_writes,metric_writes,traceback_reads\n"
+        "trace-back,1,2560,2560,40\n"))
+
+
 def test_power_compare_csv(tmp_path):
     out = tmp_path / "power.csv"
     assert run(["power-compare", "--frames", "2", "--ebno", "4", "--seed", "7",
@@ -787,3 +840,14 @@ def test_a_reader_that_went_away_is_one_line(tmp_path, argv, unbuffered):
         os.close(write_end)
     assert (result.returncode, result.stderr) == (
         1, b"convfec: error: cannot write stdout: broken pipe\n")
+
+
+def test_every_console_script_resolves_to_a_callable():
+    # the installed `convfec` command runs what [project.scripts] names
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    with open(SRC.parent / "pyproject.toml", "rb") as fp:
+        scripts = tomllib.load(fp)["project"]["scripts"]
+    assert scripts == {"convfec": "convfec.cli:main"}
+    for name, target in scripts.items():
+        entry = importlib.metadata.EntryPoint(name=name, value=target, group="console_scripts")
+        assert callable(entry.load()), name

@@ -22,7 +22,7 @@ from convfec.harness import (
 )
 from convfec.trellis import DEFAULT_SPEC, CodeSpec
 
-from reference import gaussian_tail
+from reference import exact_ber, gaussian_tail
 
 
 def test_theory_reference_points():
@@ -275,3 +275,17 @@ def test_power_csv_format():
     )
     assert lines[1] == "trace-back,1,2560,2560,40,20.5"
     assert lines[2] == "register-exchange,1,52480,2560,0,20.5"
+
+
+def test_coded_ber_of_a_small_code_matches_its_exact_value():
+    # K=3 7,5 with L=8: the exact BER enumerates every payload and error pattern, and
+    # n frames of the sweep estimate it with standard deviation sqrt(variance / n) / p
+    spec = CodeSpec.from_octal("7,5", constraint_length=3, frame_stages=8)
+    bits, p = 2 * 10**6, spec.payload_length
+    points = ber_sweep(SweepConfig((2.0, 4.0, 6.0), bits, bits, bits + 1, 5, spec))
+    coded = [point for point in points if point.scheme == CODED_VITERBI]
+    for point, want in zip(coded, (3.37657e-2, 6.17978e-3, 4.36508e-4), strict=True):
+        mean, variance = exact_ber(spec, point.ebno_db)
+        assert f"{mean / p:.5e}" == f"{want:.5e}"
+        sigma = math.sqrt(variance / (point.info_bits // p)) / p
+        assert abs(point.ber - mean / p) <= 5 * sigma, (point.ebno_db, point.ber, mean / p)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -17,6 +18,14 @@ from convfec.harness import SweepConfig, ber_sweep, format_ber_csv, power_compar
 from convfec.trellis import DEFAULT_SPEC, CodeSpec, free_distance
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_no_module_checks_an_invariant_with_assert():
+    # python -O strips assert statements; an invariant must raise a real error
+    found = [f"{path.name}:{node.lineno}" for path in sorted((SRC / "convfec").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_bytes(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_invariants_raise_under_optimize():
