@@ -101,6 +101,8 @@ def inject_errors(bits: np.ndarray, positions: Iterable[int]) -> np.ndarray:
     involution for a fixed position set.
     """
     out = np.array(bits, dtype=np.uint8)
+    if not out.ndim:
+        raise ValueError(f"bits must be a frame or rows of frames, got shape {out.shape}")
     width = out.shape[-1]
     flips = sorted({_index(pos, "error position") for pos in positions})
     for pos in flips:

@@ -187,12 +187,19 @@ def decode_frames(coded: np.ndarray, trellis: Trellis,
 
 
 class StreamedFrame(_Value):
-    """One decoded frame plus its availability on the symbol clock."""
+    """One decoded frame plus its availability on the symbol clock: frame ``index``
+    of ``L = len(decoded)`` stages fills clocks ``[index*L, (index+1)*L)``."""
 
-    def __init__(self, index: int, decoded: list[int], final_metric: int,
-                 available_at_clock: int, latency_clocks: int) -> None:
-        self._set(index=index, decoded=decoded, final_metric=final_metric,
-                  available_at_clock=available_at_clock, latency_clocks=latency_clocks)
+    def __init__(self, index: int, decoded: list[int], final_metric: int) -> None:
+        self._set(index=index, decoded=decoded, final_metric=final_metric)
+
+    @property
+    def available_at_clock(self) -> int:
+        return (self.index + 1) * len(self.decoded)
+
+    @property
+    def latency_clocks(self) -> int:
+        return len(self.decoded)
 
 
 def stream_decode(frames: Sequence[Sequence[int]], trellis: Trellis) -> list[StreamedFrame]:
@@ -207,5 +214,5 @@ def stream_decode(frames: Sequence[Sequence[int]], trellis: Trellis) -> list[Str
                                  f"({len(frame)} of {2 * stages} coded bits)")
             raise ValueError(f"frame {i}: expected {2 * stages} coded bits, got {len(frame)}")
     decoded, metrics = decode_frames(np.reshape(frame_list, (-1, 2 * stages)), trellis)
-    return [StreamedFrame(i, bits, metric, (i + 1) * stages, stages)
+    return [StreamedFrame(i, bits, metric)
             for i, (bits, metric) in enumerate(zip(decoded.tolist(), metrics.tolist()))]

@@ -40,9 +40,15 @@ _Stage = Callable[[np.ndarray], np.ndarray]
 
 class BerPoint(_Value):
     def __init__(self, scheme: str, ebno_db: float, info_bits: int, bit_errors: int,
-                 frame_errors: int, ber: float, seed: int) -> None:
+                 frame_errors: int, seed: int) -> None:
+        if info_bits < 1:
+            raise ValueError(f"info_bits must be at least 1 for a BER, got {info_bits!r}")
         self._set(scheme=scheme, ebno_db=ebno_db, info_bits=info_bits, bit_errors=bit_errors,
-                  frame_errors=frame_errors, ber=ber, seed=seed)
+                  frame_errors=frame_errors, seed=seed)
+
+    @property
+    def ber(self) -> float:
+        return self.bit_errors / self.info_bits
 
 
 class SweepConfig(_Value):
@@ -113,10 +119,7 @@ def _run_point(
         frame_errors += int(np.count_nonzero(hit))
         if _stop(cfg, info_bits, bit_errors):
             break
-    return BerPoint(
-        scheme, ebno_db, info_bits, bit_errors, frame_errors,
-        bit_errors / info_bits, cfg.seed,
-    )
+    return BerPoint(scheme, ebno_db, info_bits, bit_errors, frame_errors, cfg.seed)
 
 
 def ber_sweep(cfg: SweepConfig) -> list[BerPoint]:

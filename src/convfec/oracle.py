@@ -26,9 +26,13 @@ class MlResult(_Value):
     """
 
     def __init__(self, best_payload: tuple[int, ...], best_distance: int,
-                 minimizer_unique: bool, num_minimizers: int) -> None:
+                 num_minimizers: int) -> None:
         self._set(best_payload=best_payload, best_distance=best_distance,
-                  minimizer_unique=minimizer_unique, num_minimizers=num_minimizers)
+                  num_minimizers=num_minimizers)
+
+    @property
+    def minimizer_unique(self) -> bool:
+        return self.num_minimizers == 1
 
 
 def _payload_matrix(spec: CodeSpec, start: int, count: int) -> np.ndarray:
@@ -71,6 +75,6 @@ def ml_decode_frames(received: np.ndarray, spec: CodeSpec) -> list[MlResult]:
                 count[i] += int(np.count_nonzero(distances == best[i]))
 
     return [
-        MlResult(tuple((index >> (p - 1 - j)) & 1 for j in range(p)), dist, c == 1, c)
+        MlResult(tuple((index >> (p - 1 - j)) & 1 for j in range(p)), dist, c)
         for index, dist, c in zip(best_index, best, count)
     ]

@@ -171,20 +171,26 @@ class Trellis:
     conventions above: branch ``r`` enters state ``r mod S``, and state ``s``
     is entered by branches ``s`` (from ``s >> 1``) and ``s + S`` (from
     ``(s + S) >> 1``), so ``symbol_table[:S]`` and ``symbol_table[S:]`` are
-    the lower and upper incoming symbols.  Immutable and safe to share.
+    the lower and upper incoming symbols.  Immutable and safe to share: its
+    fields refuse assignment as a value class's do, and a copy is rebuilt from
+    ``spec``, so the copy's table is read-only too.
     """
 
     __slots__ = ("spec", "num_states", "symbol_table")
+    __setattr__, __delattr__ = _Value.__setattr__, _Value.__delattr__
 
     def __init__(self, spec: CodeSpec):
-        self.spec = spec
-        self.num_states = spec.num_states
         reg = np.arange(2 * spec.num_states)
         table = np.zeros_like(reg)
         for j, (tap1, tap2) in enumerate(zip(*spec.generators)):
             table ^= ((reg >> j) & 1) * (tap1 << 1 | tap2)
-        self.symbol_table = table.astype(np.uint8)
-        self.symbol_table.setflags(write=False)
+        table = table.astype(np.uint8)
+        table.setflags(write=False)
+        for name, value in zip(self.__slots__, (spec, spec.num_states, table)):
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        return type(self), (self.spec,)
 
 
 def bit_rows(rows, width: int, noun: str) -> np.ndarray:

@@ -182,3 +182,6 @@ def test_inject_rejects_out_of_range():
         inject_errors([0] * 80, {-1})
     with pytest.raises(ValueError, match="out of range"):
         inject_errors(np.zeros((0, 80), dtype=np.uint8), {80})
+    with pytest.raises(ValueError, match=r"^bits must be a frame or rows of frames, "
+                                         r"got shape \(\)$"):
+        inject_errors(np.array(5), [0])

@@ -264,6 +264,14 @@ def test_stream_decode_ordering_and_latency(default_trellis):
         assert f.latency_clocks == 40
 
 
+def test_stream_decode_clocks_follow_the_frame_length(k3_trellis):
+    # L = 5: the clocks come from each frame's own length, not from the default 40
+    frames = encode_frames(np.eye(3, dtype=np.uint8), k3_trellis).tolist()
+    out = stream_decode(frames, k3_trellis)
+    assert [(f.index, f.available_at_clock, f.latency_clocks) for f in out] == [
+        (i, 5 * (i + 1), 5) for i in range(3)]
+
+
 def test_stream_decode_empty(default_trellis):
     assert stream_decode([], default_trellis) == []
 

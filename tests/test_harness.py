@@ -259,11 +259,17 @@ def test_sweep_and_power_csv_digest():
 
 
 def test_ber_csv_format():
-    point = BerPoint(UNCODED_BPSK, 4.0, 100, 2, 1, 0.02, 42)
+    point = BerPoint(UNCODED_BPSK, 4.0, 100, 2, 1, 42)
     text = format_ber_csv([point])
     lines = text.splitlines()
     assert lines[0] == "scheme,ebno_db,info_bits,bit_errors,frame_errors,ber,seed"
     assert lines[1] == "uncoded-bpsk,4.0,100,2,1,0.02,42"
+
+
+def test_ber_point_refuses_zero_info_bits():
+    # zero bits have no BER
+    with pytest.raises(ValueError, match=r"^info_bits must be at least 1 for a BER, got 0$"):
+        BerPoint(UNCODED_BPSK, 4.0, 0, 0, 0, 42)
 
 
 def test_power_csv_format():

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -76,6 +78,26 @@ def test_upper_predecessor_offset(default_trellis):
 def test_k3_first_transition(k3_trellis):
     assert next_state(k3_trellis, 0, 1) == 1
     assert branch_symbol(k3_trellis, 0, 1) == (1, 1)
+
+
+def test_trellis_fields_can_be_neither_assigned_nor_deleted(k3_spec, default_trellis):
+    trellis = build_trellis(k3_spec)  # not the shared fixture: a failure must not leak
+    for name in ("spec", "num_states", "symbol_table", "extra"):
+        with pytest.raises(AttributeError, match=rf"^cannot assign to field '{name}'$"):
+            setattr(trellis, name, getattr(default_trellis, name, None))
+        with pytest.raises(AttributeError, match=rf"^cannot delete field '{name}'$"):
+            delattr(trellis, name)
+    assert trellis.spec == k3_spec and trellis.num_states == 4
+    assert not trellis.symbol_table.flags.writeable
+
+
+def test_trellis_copies_are_rebuilt_with_a_read_only_table(k3_trellis):
+    for twin in (pickle.loads(pickle.dumps(k3_trellis)), copy.deepcopy(k3_trellis),
+                 copy.copy(k3_trellis)):
+        assert type(twin) is type(k3_trellis) and twin.spec == k3_trellis.spec
+        assert twin.num_states == k3_trellis.num_states
+        assert np.array_equal(twin.symbol_table, k3_trellis.symbol_table)
+        assert not twin.symbol_table.flags.writeable
 
 
 # the one-table checks run on every (state, bit) of the K=3 7,5 fixture, the

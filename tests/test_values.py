@@ -1,5 +1,6 @@
 """The value classes' contract: immutable, compared and hashed by their fields,
-printed as ``Name(field=value, ...)``, and copied and pickled whole."""
+printed as ``Name(field=value, ...)``, and copied and pickled whole; a value derived
+from the fields is a property, so it cannot contradict them."""
 
 from __future__ import annotations
 
@@ -42,11 +43,11 @@ _CASES = [
      "missing 5 required positional arguments: 'ebno_points', 'min_info_bits', "
      "'max_info_bits', 'stop_at_errors', and 'seed'"),
     (BerPoint, dict(scheme="coded-viterbi", ebno_db=2.0, info_bits=340, bit_errors=3,
-                    frame_errors=2, ber=3 / 340, seed=9),
+                    frame_errors=2, seed=9),
      "BerPoint(scheme='coded-viterbi', ebno_db=2.0, info_bits=340, bit_errors=3, "
-     "frame_errors=2, ber=0.008823529411764706, seed=9)",
-     "missing 7 required positional arguments: 'scheme', 'ebno_db', 'info_bits', "
-     "'bit_errors', 'frame_errors', 'ber', and 'seed'"),
+     "frame_errors=2, seed=9)",
+     "missing 6 required positional arguments: 'scheme', 'ebno_db', 'info_bits', "
+     "'bit_errors', 'frame_errors', and 'seed'"),
     (ActivityReport, dict(scheme="trace-back", survivor_bit_writes=20, metric_writes=20,
                           traceback_reads=5),
      "ActivityReport(scheme='trace-back', survivor_bit_writes=20, metric_writes=20, "
@@ -59,19 +60,28 @@ _CASES = [
      "scheme='register-exchange', survivor_bit_writes=60, metric_writes=20, traceback_reads=0), "
      "frames=1)",
      "missing 3 required positional arguments: 'traceback', 'register_exchange', and 'frames'"),
-    (StreamedFrame, dict(index=0, decoded=[1, 0, 1], final_metric=2, available_at_clock=5,
-                         latency_clocks=5),
-     "StreamedFrame(index=0, decoded=[1, 0, 1], final_metric=2, available_at_clock=5, "
-     "latency_clocks=5)",
-     "missing 5 required positional arguments: 'index', 'decoded', 'final_metric', "
-     "'available_at_clock', and 'latency_clocks'"),
-    (MlResult, dict(best_payload=(1, 0), best_distance=2, minimizer_unique=True,
-                    num_minimizers=1),
-     "MlResult(best_payload=(1, 0), best_distance=2, minimizer_unique=True, num_minimizers=1)",
-     "missing 4 required positional arguments: 'best_payload', 'best_distance', "
-     "'minimizer_unique', and 'num_minimizers'"),
+    (StreamedFrame, dict(index=2, decoded=[1, 0, 1], final_metric=2),
+     "StreamedFrame(index=2, decoded=[1, 0, 1], final_metric=2)",
+     "missing 3 required positional arguments: 'index', 'decoded', and 'final_metric'"),
+    (MlResult, dict(best_payload=(1, 0), best_distance=2, num_minimizers=1),
+     "MlResult(best_payload=(1, 0), best_distance=2, num_minimizers=1)",
+     "missing 3 required positional arguments: 'best_payload', 'best_distance', and "
+     "'num_minimizers'"),
 ]
 _IDS = [case[0].__name__ for case in _CASES]
+_FIELDS = {case[0]: case[1] for case in _CASES}
+
+# (class, a derived value, its formula over the stored fields, the value on the class's
+# fields above, and inputs that move it); a derived value is a property, never a field
+_DERIVED = [
+    (BerPoint, "ber", lambda v: v.bit_errors / v.info_bits, 3 / 340, dict(bit_errors=17)),
+    (StreamedFrame, "available_at_clock", lambda v: (v.index + 1) * len(v.decoded), 9,
+     dict(index=4)),
+    (StreamedFrame, "latency_clocks", lambda v: len(v.decoded), 3, dict(decoded=[0] * 5)),
+    (MlResult, "minimizer_unique", lambda v: v.num_minimizers == 1, True,
+     dict(num_minimizers=2)),
+]
+_DERIVED_IDS = [name for _, name, *_ in _DERIVED]
 
 
 @pytest.mark.parametrize("cls, fields, text, _", _CASES, ids=_IDS)
@@ -116,6 +126,28 @@ def test_pickle_and_deepcopy_round_trip(cls, fields, _, __):
     value = cls(**fields)
     for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
         assert type(twin) is cls and twin == value and repr(twin) == repr(value)
+
+
+@pytest.mark.parametrize("cls, name, formula, expected, moved", _DERIVED, ids=_DERIVED_IDS)
+def test_derived_values_read_their_formula(cls, name, formula, expected, moved):
+    value, other = cls(**_FIELDS[cls]), cls(**{**_FIELDS[cls], **moved})
+    assert getattr(value, name) == formula(value) == expected
+    assert getattr(other, name) == formula(other) != expected
+
+
+@pytest.mark.parametrize("cls, name, _, expected, __", _DERIVED, ids=_DERIVED_IDS)
+def test_derived_values_are_not_fields(cls, name, _, expected, __):
+    fields = _FIELDS[cls]
+    value = cls(**fields)
+    assert name not in vars(value) and f"{name}=" not in repr(value)
+    with pytest.raises(AttributeError, match=rf"^cannot assign to field '{name}'$"):
+        setattr(value, name, expected)
+    with pytest.raises(AttributeError, match=rf"^cannot delete field '{name}'$"):
+        delattr(value, name)
+    # ==, hash and copies go by vars(), which holds the stored inputs alone
+    assert vars(value) == fields and value == cls(*fields.values())
+    for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert vars(twin) == fields and getattr(twin, name) == expected
 
 
 @pytest.mark.parametrize("cls, _, __, message", _CASES, ids=_IDS)
