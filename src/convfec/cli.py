@@ -322,8 +322,8 @@ def _cmd_decode(args: argparse.Namespace, spec: CodeSpec) -> None:
     decoded, _ = decode_frames(frames, trellis, scheme)
     outputs = [(args.output, _format_frames(decoded[:, : spec.payload_length]))]
     if args.activity is not None:
-        report = ActivityReport.for_frames(spec, scheme, len(frames))
-        outputs.append((args.activity, _activity_csv(len(frames), [report]).encode()))
+        report = ActivityReport(spec, scheme, len(frames))
+        outputs.append((args.activity, _activity_csv([report]).encode()))
     _write(*outputs)
 
 
@@ -369,6 +369,8 @@ def _parse_ebno(text: str) -> tuple[float, ...]:
         if value + step == value:
             raise CliError(f"--ebno range step {step!r} does not advance from {value!r}")
         value += step
+    if not points:
+        raise CliError(f"--ebno range names no point, got {text!r}")
     return tuple(points)
 
 

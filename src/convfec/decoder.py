@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .trellis import CodeSpec, Trellis, _index, _Value, bit_rows
+from .trellis import CodeSpec, Trellis, _code_spec, _index, _Value, bit_rows
 
 TRACEBACK = "trace-back"
 REGISTER_EXCHANGE = "register-exchange"
@@ -27,24 +27,31 @@ def _sentinel(dtype: np.dtype) -> int:  # unreachable: a sentinel plus one branc
 
 
 class ActivityReport(_Value):
-    """Switching-activity counters used as a power proxy."""
+    """Switching-activity counts of ``frames`` frames under ``scheme``, a power proxy; each
+    is a closed form, since none depends on the data."""
 
-    def __init__(self, scheme: str, survivor_bit_writes: int, metric_writes: int,
-                 traceback_reads: int) -> None:
-        if min(survivor_bit_writes, metric_writes, traceback_reads) < 0:
-            raise ValueError("activity counts must be nonnegative")
-        self._set(scheme=scheme, survivor_bit_writes=survivor_bit_writes,
-                  metric_writes=metric_writes, traceback_reads=traceback_reads)
+    def __init__(self, spec: CodeSpec, scheme: str, frames: int) -> None:
+        if scheme not in _SURVIVOR_MEMORIES:
+            raise ValueError(f"unknown survivor scheme {scheme!r}")
+        frames = _index(frames, "frames")
+        if frames < 0:
+            raise ValueError(f"frames must be nonnegative, got {frames}")
+        self._set(spec=_code_spec(spec), scheme=scheme, frames=frames)
 
-    @classmethod
-    def for_frames(cls, spec: CodeSpec, scheme: str, frames: int) -> "ActivityReport":
-        """Activity of ``frames`` frames; it never depends on the data."""
-        s, l, frames = spec.num_states, spec.frame_stages, _index(frames, "frames")
-        if scheme == TRACEBACK:
-            return cls(scheme, s * l * frames, s * l * frames, l * frames)
-        if scheme == REGISTER_EXCHANGE:
-            return cls(scheme, s * l * (l + 1) // 2 * frames, s * l * frames, 0)
-        raise ValueError(f"unknown survivor scheme {scheme!r}")
+    @property
+    def survivor_bit_writes(self) -> int:
+        """S bits per stage for trace-back; register exchange copies ``t`` rows at stage ``t``."""
+        l = self.spec.frame_stages
+        per_frame = l if self.scheme == TRACEBACK else l * (l + 1) // 2
+        return self.spec.num_states * per_frame * self.frames
+
+    @property
+    def metric_writes(self) -> int:
+        return self.spec.num_states * self.spec.frame_stages * self.frames
+
+    @property
+    def traceback_reads(self) -> int:
+        return self.spec.frame_stages * self.frames if self.scheme == TRACEBACK else 0
 
 
 def _acs_kernel(rows: np.ndarray, trellis: Trellis) -> tuple[np.ndarray, np.ndarray]:

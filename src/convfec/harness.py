@@ -22,7 +22,7 @@ import numpy as np
 from .channel import NoiseConfig, _bpsk_awgn_hard, ebno_ratio
 from .decoder import REGISTER_EXCHANGE, TRACEBACK, ActivityReport, decode_frames
 from .encoder import encode_frames
-from .trellis import DEFAULT_SPEC, CodeSpec, _index, _real, _Value, build_trellis
+from .trellis import DEFAULT_SPEC, CodeSpec, _code_spec, _index, _real, _Value, build_trellis
 
 UNCODED_BPSK = "uncoded-bpsk"
 CODED_VITERBI = "coded-viterbi"
@@ -62,6 +62,7 @@ class SweepConfig(_Value):
 
     def __init__(self, ebno_points: tuple[float, ...], min_info_bits: int, max_info_bits: int,
                  stop_at_errors: int, seed: int, spec: CodeSpec = DEFAULT_SPEC) -> None:
+        _code_spec(spec)
         ebno_points = tuple(ebno_points)
         if not ebno_points:
             raise ValueError("ebno_points must name at least one Eb/N0 point")
@@ -86,7 +87,7 @@ class SweepConfig(_Value):
 def theoretical_uncoded_ber(ebno_db: float) -> float:
     """Uncoded coherent BPSK error rate, Q(sqrt(2 * Eb/N0))."""
     # Q(sqrt(2x)) == erfc(sqrt(x)) / 2
-    return 0.5 * math.erfc(math.sqrt(ebno_ratio(ebno_db)))
+    return 0.5 * math.erfc(math.sqrt(ebno_ratio(_real(ebno_db, "ebno_db"))))
 
 
 def _stop(cfg: SweepConfig, info_bits: int, bit_errors: int) -> bool:
@@ -142,11 +143,19 @@ def ber_sweep(cfg: SweepConfig) -> list[BerPoint]:
 
 
 class PowerCompareResult(_Value):
-    """Aggregated activity for the same frames decoded under both schemes."""
+    """Activity of the same ``frames`` frames decoded under both survivor schemes."""
 
-    def __init__(self, traceback: ActivityReport, register_exchange: ActivityReport,
-                 frames: int) -> None:
-        self._set(traceback=traceback, register_exchange=register_exchange, frames=frames)
+    def __init__(self, spec: CodeSpec, frames: int) -> None:
+        frames = ActivityReport(spec, TRACEBACK, frames).frames  # refuses a bad spec or count
+        self._set(spec=spec, frames=frames)
+
+    @property
+    def traceback(self) -> ActivityReport:
+        return ActivityReport(self.spec, TRACEBACK, self.frames)
+
+    @property
+    def register_exchange(self) -> ActivityReport:
+        return ActivityReport(self.spec, REGISTER_EXCHANGE, self.frames)
 
     @property
     def survivor_write_ratio(self) -> float | None:
@@ -165,10 +174,8 @@ def power_compare(ebno_db: float, frames: int, seed: int,
     Any mismatch between the two schemes' outputs is an invariant breach and
     raises.
     """
-    frames = _index(frames, "frames")
-    if frames < 0:
-        raise ValueError(f"frames must be nonnegative, got {frames}")
-    bits = frames * spec.payload_length
+    result = PowerCompareResult(spec, frames)  # refuses a bad spec or frame count first
+    bits = result.frames * spec.payload_length
     # built even at 0 frames, so that a bad Eb/N0 or seed is refused there too
     exact = SweepConfig((_real(ebno_db, "ebno_db"),), bits, bits, 0, seed, spec)
     trellis = build_trellis(spec)
@@ -185,11 +192,10 @@ def power_compare(ebno_db: float, frames: int, seed: int,
         done += len(received)
         return tb_bits[:, :spec.payload_length]
 
-    if frames:  # the runner runs at least one batch; its budget here is exactly `frames`
+    if result.frames:  # the runner runs at least one batch; its budget here is exactly `frames`
         _run_point(exact, CODED_VITERBI, ebno_db, 0.5, np.random.default_rng(exact.seed),
                    lambda payloads: encode_frames(payloads, trellis), receive)
-    return PowerCompareResult(ActivityReport.for_frames(spec, TRACEBACK, frames),
-                              ActivityReport.for_frames(spec, REGISTER_EXCHANGE, frames), frames)
+    return result
 
 
 def format_ber_csv(points: Iterable[BerPoint]) -> str:
@@ -204,13 +210,13 @@ def format_ber_csv(points: Iterable[BerPoint]) -> str:
 
 def format_power_csv(result: PowerCompareResult) -> str:
     ratio = "" if result.survivor_write_ratio is None else repr(result.survivor_write_ratio)
-    return _activity_csv(result.frames, (result.traceback, result.register_exchange), ratio)
+    return _activity_csv((result.traceback, result.register_exchange), ratio)
 
 
-def _activity_csv(frames: int, reports: Iterable[ActivityReport], ratio: str | None = None) -> str:
+def _activity_csv(reports: Iterable[ActivityReport], ratio: str | None = None) -> str:
     """Header and one row per report; a ``ratio`` adds the survivor_write_ratio column."""
     extra = "" if ratio is None else f",{ratio}"
     lines = [_ACTIVITY_CSV_HEADER if ratio is None else POWER_CSV_HEADER]
-    lines += (f"{r.scheme},{frames},{r.survivor_bit_writes},{r.metric_writes},"
+    lines += (f"{r.scheme},{r.frames},{r.survivor_bit_writes},{r.metric_writes},"
               f"{r.traceback_reads}{extra}" for r in reports)
     return "\n".join(lines) + "\n"

@@ -157,6 +157,13 @@ def _real(value, name: str):
     return value
 
 
+def _code_spec(value) -> "CodeSpec":
+    """``value`` itself when it is a :class:`CodeSpec`; else a ``TypeError`` naming ``spec``."""
+    if not isinstance(value, CodeSpec):
+        raise TypeError(f"spec must be a CodeSpec, got {value!r}")
+    return value
+
+
 #: The shipped default: the 802.16 standard K=7 pair (octal 171/133), 40-stage
 #: frames of 34 payload bits plus a 6-bit zero tail.
 DEFAULT_SPEC = CodeSpec.from_octal("171,133", constraint_length=7, frame_stages=40)
@@ -211,9 +218,7 @@ def build_trellis(spec: CodeSpec) -> Trellis:
     The structure is one butterfly pattern tiled over all states: states
     ``j`` and ``j + 2^(K-2)`` feed the successor pair ``{2j, 2j+1}``.
     """
-    if not isinstance(spec, CodeSpec):
-        raise TypeError(f"expected CodeSpec, got {type(spec).__name__}")
-    return Trellis(spec)
+    return Trellis(_code_spec(spec))
 
 
 def free_distance(spec: CodeSpec, weight_cap: int) -> int | None:

@@ -200,8 +200,8 @@ def test_criterion_07_coding_gain_at_6db():
 
 
 def test_criterion_08_switching_activity(default_trellis):
-    tb = ActivityReport.for_frames(default_trellis.spec, TRACEBACK, 1)
-    re = ActivityReport.for_frames(default_trellis.spec, REGISTER_EXCHANGE, 1)
+    tb = ActivityReport(default_trellis.spec, TRACEBACK, 1)
+    re = ActivityReport(default_trellis.spec, REGISTER_EXCHANGE, 1)
     per_frame_ok = tb.survivor_bit_writes == 2560 and re.survivor_bit_writes == 52480
 
     frames = 5

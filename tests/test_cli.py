@@ -146,7 +146,7 @@ _VARIANCE = "is out of range: the noise variance at code rate 0.5 is not finite"
     pytest.param({}, ["ber-sweep", "--ebno", "abc", "-o", "ber.csv"],
                  "--ebno must be numeric, got 'abc'", id="ebno-not-numeric"),
     pytest.param({}, ["ber-sweep", "--ebno", "5:1:4", "--min-bits", "0", "-o", "ber.csv"],
-                 "ebno_points must name at least one Eb/N0 point", id="empty-ebno-range"),
+                 "--ebno range names no point, got '5:1:4'", id="empty-ebno-range"),
     pytest.param({}, ["ber-sweep", "--ebno", "6", "--max-bits", "5e4", "-o", "ber.csv"],
                  "--min-bits 100000 exceeds --max-bits 50000", id="min-bits-over-max-bits"),
     pytest.param({}, ["ber-sweep", "--ebno", "6", "--stop-errors", "-1", "-o", "ber.csv"],
@@ -190,6 +190,8 @@ _VARIANCE = "is out of range: the noise variance at code rate 0.5 is not finite"
                  "--ebno must be finite, got 'nan'", id="power-ebno-nan"),
     pytest.param({}, ["power-compare", "--ebno", "1,2", "-o", "out.csv"],
                  "--ebno must name one Eb/N0 point, got '1,2'", id="power-ebno-two-points"),
+    pytest.param({}, ["power-compare", "--ebno", "5:1:4", "-o", "out.csv"],
+                 "--ebno range names no point, got '5:1:4'", id="power-empty-ebno-range"),
     pytest.param({}, [*_SWEEP, "--ebno", "4", "--seed", "-1"],
                  "--seed must be nonnegative, got -1", id="sweep-negative-seed"),
     pytest.param({}, ["power-compare", "--frames", "2", "--seed", "-1", "-o", "out.csv"],
@@ -622,7 +624,7 @@ def test_stdin_and_a_file_give_the_same_result(tmp_path, encoding, data, argv, w
     env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONIOENCODING": encoding}
     for extra, stdin in (([], data), (["-i", str(path)], b"")):
         result = subprocess.run([sys.executable, "-m", "convfec", *argv, *extra],
-                                input=stdin, capture_output=True, env=env)
+                                input=stdin, capture_output=True, env=env, timeout=60)
         assert (result.returncode, result.stdout, result.stderr) == want
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import re
 
 import numpy as np
 import pytest
@@ -56,7 +57,7 @@ def test_survivor_memory_write_contract(default_trellis):
     for t in (0, 5, 6, 20, 39):
         _, prefix = _acs_kernel(received[:, : 2 * (t + 1)], default_trellis)
         assert np.array_equal(prefix, words[: t + 1])
-    writes = ActivityReport.for_frames(default_trellis.spec, TRACEBACK, 1).survivor_bit_writes
+    writes = ActivityReport(default_trellis.spec, TRACEBACK, 1).survivor_bit_writes
     assert writes == words.shape[0] * words.shape[1] == 64 * 40
 
 
@@ -214,27 +215,36 @@ def test_register_exchange_matches_traceback(default_trellis):
     assert np.array_equal(re_metrics, tb_metrics)
 
 
-def test_activity_closed_forms(default_trellis):
-    tb = ActivityReport.for_frames(default_trellis.spec, TRACEBACK, 1)
-    re = ActivityReport.for_frames(default_trellis.spec, REGISTER_EXCHANGE, 1)
-    assert tb.survivor_bit_writes == 64 * 40 == 2560
-    assert re.survivor_bit_writes == 64 * 40 * 41 // 2 == 52480
-    assert tb.metric_writes == re.metric_writes == 64 * 40
-    assert tb.traceback_reads == 40
-    assert re.traceback_reads == 0
+_K3 = CodeSpec.from_octal("7,5", constraint_length=3, frame_stages=5)
 
 
-def test_activity_closed_forms_small_code(k3_trellis):
-    tb = ActivityReport.for_frames(k3_trellis.spec, TRACEBACK, 1)
-    re = ActivityReport.for_frames(k3_trellis.spec, REGISTER_EXCHANGE, 1)
-    assert tb.survivor_bit_writes == 4 * 5
-    assert re.survivor_bit_writes == 4 * 15
-    assert re.survivor_bit_writes / tb.survivor_bit_writes == 3.0
-
-
-def test_activity_report_rejects_negative_counts():
-    with pytest.raises(ValueError):
-        ActivityReport(TRACEBACK, -1, 0, 0)
+# (spec, scheme, frames, the counts (survivor_bit_writes, metric_writes, traceback_reads)
+# or the error that refuses the inputs)
+@pytest.mark.parametrize("spec, scheme, frames, want", [
+    # S * L survivor bits and metrics per frame; register exchange copies t rows at stage t,
+    # S * L * (L + 1) / 2 bits: 64 * 40 = 2560 and 64 * 40 * 41 / 2 = 52480 at K = 7, L = 40
+    pytest.param(DEFAULT_SPEC, TRACEBACK, 1, (2560, 2560, 40), id="default-trace-back"),
+    pytest.param(DEFAULT_SPEC, REGISTER_EXCHANGE, 1, (52480, 2560, 0),
+                 id="default-register-exchange"),
+    # 4 * 5 and 4 * 15: register exchange writes (L + 1) / 2 = 3 times as many at L = 5
+    pytest.param(_K3, TRACEBACK, 1, (20, 20, 5), id="k3-trace-back"),
+    pytest.param(_K3, REGISTER_EXCHANGE, 1, (60, 20, 0), id="k3-register-exchange"),
+    pytest.param(DEFAULT_SPEC, TRACEBACK, 3, (3 * 2560, 3 * 2560, 3 * 40),
+                 id="default-trace-back-3-frames"),
+    pytest.param(DEFAULT_SPEC, REGISTER_EXCHANGE, 0, (0, 0, 0),
+                 id="default-register-exchange-0-frames"),
+    pytest.param(DEFAULT_SPEC, "regex", 1, ValueError("unknown survivor scheme 'regex'"),
+                 id="unknown-scheme"),
+    pytest.param(DEFAULT_SPEC, TRACEBACK, -1, ValueError("frames must be nonnegative, got -1"),
+                 id="negative-frames"),
+])
+def test_activity_closed_forms(spec, scheme, frames, want):
+    if isinstance(want, Exception):
+        with pytest.raises(type(want), match=f"^{re.escape(str(want))}$"):
+            ActivityReport(spec, scheme, frames)
+        return
+    report = ActivityReport(spec, scheme, frames)
+    assert (report.survivor_bit_writes, report.metric_writes, report.traceback_reads) == want
 
 
 def test_batch_decode_rejects_bad_shape(default_trellis):
@@ -294,18 +304,6 @@ def test_seven_error_pattern_corrected(default_trellis):
     decoded, metrics = decode_frames(noisy, default_trellis)
     assert decoded.tolist() == [[0] * 40]
     assert metrics.tolist() == [7]
-
-
-def test_activity_for_frames_scales_and_rejects_unknown_scheme(default_trellis):
-    spec = default_trellis.spec
-    assert ActivityReport.for_frames(spec, TRACEBACK, 3) == ActivityReport(
-        TRACEBACK, 3 * 2560, 3 * 2560, 3 * 40
-    )
-    assert ActivityReport.for_frames(spec, REGISTER_EXCHANGE, 0) == ActivityReport(
-        REGISTER_EXCHANGE, 0, 0, 0
-    )
-    with pytest.raises(ValueError, match="unknown survivor scheme"):
-        ActivityReport.for_frames(spec, "regex", 1)
 
 
 def test_batch_decode_both_schemes(default_trellis):

@@ -14,8 +14,15 @@ import pytest
 
 from convfec.channel import NoiseConfig, hard_quantize, inject_errors
 from convfec.decoder import TRACEBACK, ActivityReport
-from convfec.harness import SweepConfig, ber_sweep, format_ber_csv, power_compare
-from convfec.trellis import DEFAULT_SPEC, CodeSpec, free_distance
+from convfec.harness import (
+    PowerCompareResult,
+    SweepConfig,
+    ber_sweep,
+    format_ber_csv,
+    power_compare,
+    theoretical_uncoded_ber,
+)
+from convfec.trellis import DEFAULT_SPEC, CodeSpec, build_trellis, free_distance
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -57,6 +64,7 @@ def test_invariants_raise_under_optimize():
     out = subprocess.run(
         [sys.executable, "-O", "-c", script],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, check=True,
+        timeout=60,
     ).stdout
     assert "terminal: path metric bound breached: 999 > 2 * 40 stages" in out
     assert "tail: zero tail left the encoder in state 1" in out
@@ -97,9 +105,9 @@ _FRAMES = np.zeros((2, 8), dtype=np.uint8)
                  id="octal-k-bool"),
     pytest.param(lambda: free_distance(DEFAULT_SPEC, 12.5), "weight_cap", id="dfree-cap-float"),
     pytest.param(lambda: free_distance(DEFAULT_SPEC, True), "weight_cap", id="dfree-cap-bool"),
-    pytest.param(lambda: ActivityReport.for_frames(DEFAULT_SPEC, TRACEBACK, 1.5), "frames",
+    pytest.param(lambda: ActivityReport(DEFAULT_SPEC, TRACEBACK, 1.5), "frames",
                  id="activity-frames-float"),
-    pytest.param(lambda: ActivityReport.for_frames(DEFAULT_SPEC, TRACEBACK, True), "frames",
+    pytest.param(lambda: ActivityReport(DEFAULT_SPEC, TRACEBACK, True), "frames",
                  id="activity-frames-bool"),
     pytest.param(lambda: inject_errors(_FRAMES, [1.5]), "error position", id="position-float"),
     pytest.param(lambda: inject_errors(_FRAMES, [True]), "error position", id="position-bool"),
@@ -118,9 +126,24 @@ def test_integer_fields_refuse_other_values_by_name(build, field):
     pytest.param(lambda: power_compare("4", 0, 0), "ebno_db", id="power-ebno-str"),
     pytest.param(lambda: SweepConfig((True,), 0, 100, 0, 0), "ebno_points",
                  id="sweep-point-bool"),
+    pytest.param(lambda: theoretical_uncoded_ber("3"), "ebno_db", id="theory-ebno-str"),
+    pytest.param(lambda: theoretical_uncoded_ber(True), "ebno_db", id="theory-ebno-bool"),
 ])
 def test_real_fields_refuse_other_values_by_name(build, field):
     with pytest.raises(TypeError, match=rf"^{field} must be a real number, got "):
+        build()
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: build_trellis("171,133"), id="trellis"),
+    pytest.param(lambda: free_distance("171,133", 10), id="dfree"),
+    pytest.param(lambda: SweepConfig((1.0,), 0, 34, 0, 0, spec="x"), id="sweep"),
+    pytest.param(lambda: power_compare(4.0, 2, 1, spec="x"), id="power"),
+    pytest.param(lambda: PowerCompareResult("x", 1), id="power-result"),
+    pytest.param(lambda: ActivityReport(DEFAULT_SPEC.generators, TRACEBACK, 1), id="activity"),
+])
+def test_spec_fields_refuse_other_values_by_name(build):
+    with pytest.raises(TypeError, match=r"^spec must be a CodeSpec, got "):
         build()
 
 
@@ -153,9 +176,9 @@ def test_integer_fields_take_numpy_integers():
     assert inject_errors(_FRAMES, [np.int64(7)])[:, 7].tolist() == [1, 1]
     assert CodeSpec.from_octal("171,133", constraint_length=np.uint8(7)) == DEFAULT_SPEC
     assert free_distance(DEFAULT_SPEC, np.int64(10)) == 10
-    activity = ActivityReport.for_frames(DEFAULT_SPEC, TRACEBACK, np.uint16(3))
-    assert activity == ActivityReport.for_frames(DEFAULT_SPEC, TRACEBACK, 3)
-    assert type(activity.survivor_bit_writes) is int
+    activity = ActivityReport(DEFAULT_SPEC, TRACEBACK, np.uint16(3))
+    assert activity == ActivityReport(DEFAULT_SPEC, TRACEBACK, 3)
+    assert type(activity.frames) is int and type(activity.survivor_bit_writes) is int
     plain = SweepConfig((2.0,), 0, 340, 5, seed=9)
     typed = SweepConfig((2.0,), np.int32(0), np.int64(340), np.uint8(5), seed=np.int64(9))
     assert typed == plain

@@ -22,8 +22,7 @@ from convfec.trellis import CodeSpec
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 _K3 = CodeSpec(3, ((1, 1, 1), (1, 0, 1)), 5)
-_TB = ActivityReport("trace-back", 20, 20, 5)
-_RE = ActivityReport("register-exchange", 60, 20, 0)
+_K3_REPR = "CodeSpec(constraint_length=3, generators=((1, 1, 1), (1, 0, 1)), frame_stages=5)"
 
 # (class, fields in order, the repr, the missing-argument message); a field left out
 # of a class's list of fields takes its default
@@ -38,8 +37,7 @@ _CASES = [
     (SweepConfig, dict(ebno_points=(0.0, 2), min_info_bits=0, max_info_bits=340,
                        stop_at_errors=5, seed=9, spec=_K3),
      "SweepConfig(ebno_points=(0.0, 2), min_info_bits=0, max_info_bits=340, stop_at_errors=5, "
-     "seed=9, spec=CodeSpec(constraint_length=3, generators=((1, 1, 1), (1, 0, 1)), "
-     "frame_stages=5))",
+     f"seed=9, spec={_K3_REPR})",
      "missing 5 required positional arguments: 'ebno_points', 'min_info_bits', "
      "'max_info_bits', 'stop_at_errors', and 'seed'"),
     (BerPoint, dict(scheme="coded-viterbi", ebno_db=2.0, info_bits=340, bit_errors=3,
@@ -48,18 +46,12 @@ _CASES = [
      "frame_errors=2, seed=9)",
      "missing 6 required positional arguments: 'scheme', 'ebno_db', 'info_bits', "
      "'bit_errors', 'frame_errors', and 'seed'"),
-    (ActivityReport, dict(scheme="trace-back", survivor_bit_writes=20, metric_writes=20,
-                          traceback_reads=5),
-     "ActivityReport(scheme='trace-back', survivor_bit_writes=20, metric_writes=20, "
-     "traceback_reads=5)",
-     "missing 4 required positional arguments: 'scheme', 'survivor_bit_writes', "
-     "'metric_writes', and 'traceback_reads'"),
-    (PowerCompareResult, dict(traceback=_TB, register_exchange=_RE, frames=1),
-     "PowerCompareResult(traceback=ActivityReport(scheme='trace-back', survivor_bit_writes=20, "
-     "metric_writes=20, traceback_reads=5), register_exchange=ActivityReport("
-     "scheme='register-exchange', survivor_bit_writes=60, metric_writes=20, traceback_reads=0), "
-     "frames=1)",
-     "missing 3 required positional arguments: 'traceback', 'register_exchange', and 'frames'"),
+    (ActivityReport, dict(spec=_K3, scheme="trace-back", frames=2),
+     f"ActivityReport(spec={_K3_REPR}, scheme='trace-back', frames=2)",
+     "missing 3 required positional arguments: 'spec', 'scheme', and 'frames'"),
+    (PowerCompareResult, dict(spec=_K3, frames=2),
+     f"PowerCompareResult(spec={_K3_REPR}, frames=2)",
+     "missing 2 required positional arguments: 'spec' and 'frames'"),
     (StreamedFrame, dict(index=2, decoded=[1, 0, 1], final_metric=2),
      "StreamedFrame(index=2, decoded=[1, 0, 1], final_metric=2)",
      "missing 3 required positional arguments: 'index', 'decoded', and 'final_metric'"),
@@ -80,6 +72,23 @@ _DERIVED = [
     (StreamedFrame, "latency_clocks", lambda v: len(v.decoded), 3, dict(decoded=[0] * 5)),
     (MlResult, "minimizer_unique", lambda v: v.num_minimizers == 1, True,
      dict(num_minimizers=2)),
+    # K=3, L=5: S * L = 20 per frame; register exchange copies t rows at stage t, S * 15
+    (ActivityReport, "survivor_bit_writes",
+     lambda v: v.spec.num_states * v.frames * (5 if v.scheme == "trace-back" else 15), 40,
+     dict(scheme="register-exchange")),
+    (ActivityReport, "metric_writes", lambda v: v.spec.num_states * 5 * v.frames, 40,
+     dict(frames=3)),
+    (ActivityReport, "traceback_reads", lambda v: 5 * v.frames * (v.scheme == "trace-back"), 10,
+     dict(scheme="register-exchange")),
+    (PowerCompareResult, "traceback", lambda v: ActivityReport(v.spec, "trace-back", v.frames),
+     ActivityReport(_K3, "trace-back", 2), dict(frames=3)),
+    (PowerCompareResult, "register_exchange",
+     lambda v: ActivityReport(v.spec, "register-exchange", v.frames),
+     ActivityReport(_K3, "register-exchange", 2), dict(frames=0)),
+    # (L + 1) / 2 at any positive frame count; no frames, no ratio
+    (PowerCompareResult, "survivor_write_ratio",
+     lambda v: (v.register_exchange.survivor_bit_writes / v.traceback.survivor_bit_writes
+                if v.frames else None), 3.0, dict(frames=0)),
 ]
 _DERIVED_IDS = [name for _, name, *_ in _DERIVED]
 
