@@ -10,13 +10,15 @@ must precede the subcommand, e.g.::
 
 from __future__ import annotations
 
-import argparse
-import functools
+import contextlib
 import math
 import os
+import shutil
 import stat
 import sys
-from typing import Callable, Sequence
+import textwrap
+from types import SimpleNamespace
+from typing import NoReturn, Sequence
 
 import numpy as np
 
@@ -43,132 +45,7 @@ class CliError(Exception):
     """A user-facing failure; rendered as a one-line diagnostic."""
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command tree, built on the first call and shared by every later one.
-
-    Each subcommand's parser is a :class:`_DeferredParser`: its name and help
-    live in this parser, and its arguments are added the first time a command
-    line selects it.  ``parse_args`` makes a fresh namespace and checks
-    ``required`` and ``choices`` on each call, so :func:`run` can reuse the
-    tree; callers must not mutate it."""
-    parser = _Parser(
-        prog="convfec",
-        description=(
-            "Rate-1/2 convolutional coding toolkit. Default code: K=7, "
-            "generators 171/133 octal, 40-stage frames (34 payload bits "
-            "plus a 6-bit zero tail)."
-        ),
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    parser.add_argument(
-        "-K", "--constraint-length", default="7", metavar="K",
-        help="constraint length (default 7)",
-    )
-    parser.add_argument(
-        "-L", "--frame-stages", default="40", metavar="L",
-        help="encoder inputs per frame including the zero tail (default 40)",
-    )
-    parser.add_argument(
-        "--generators", default="171,133", metavar="OCT,OCT",
-        help="octal generator pair (default 171,133)",
-    )
-    parser.add_argument(
-        "--spec-dump", action="store_true",
-        help="print the resolved code spec and exit",
-    )
-
-    sub = parser.add_subparsers(dest="command", metavar="command",
-                                parser_class=_DeferredParser)
-    for name, (help_text, add_arguments, _) in _COMMANDS.items():
-        sub.add_parser(name, help=help_text, add_arguments=add_arguments)
-    return parser
-
-
-class _Parser(argparse.ArgumentParser):
-    """Prints help and version text through :func:`_write_stdout`; argparse's
-    own writer would drop a failed write and exit 0."""
-
-    def _print_message(self, message: str, file=None) -> None:
-        if message and file is sys.stdout:
-            _write_stdout(message.encode())
-        else:
-            super()._print_message(message, file)
-
-
-class _DeferredParser:
-    """A subcommand's ``ArgumentParser``, built on the first attribute access.
-
-    argparse makes one per ``add_parser`` call (the ``parser_class`` hook) and
-    touches it only once that command is selected, through whichever method
-    its Python version uses; every attribute is looked up on the built parser."""
-
-    def __init__(self, *, add_arguments: Callable[[argparse.ArgumentParser], None],
-                 **kwargs) -> None:
-        self._add_arguments, self._kwargs = add_arguments, kwargs
-        self._parser: argparse.ArgumentParser | None = None
-
-    def __getattr__(self, name: str):  # reached only for names this object lacks
-        if self._parser is None:
-            self._parser = _Parser(**self._kwargs)
-            self._add_arguments(self._parser)
-        return getattr(self._parser, name)
-
-
-def _io_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("-i", "--in", dest="input", default="-", metavar="PATH",
-                        help="input frames, one per line ('-' for stdin)")
-    parser.add_argument("-o", "--out", dest="output", default="-", metavar="PATH",
-                        help="output path ('-' for stdout)")
-
-
-def _decode_arguments(parser: argparse.ArgumentParser) -> None:
-    _io_arguments(parser)
-    parser.add_argument(
-        "--scheme", choices=("traceback", "regex"), default="traceback",
-        help="survivor storage: trace-back or register exchange (regex)",
-    )
-    parser.add_argument(
-        "--activity", metavar="PATH",
-        help="also write aggregated switching-activity CSV to PATH",
-    )
-
-
-def _inject_errors_arguments(parser: argparse.ArgumentParser) -> None:
-    _io_arguments(parser)
-    parser.add_argument(
-        "--positions", required=True, metavar="N,N,...",
-        help="comma-separated bit indices to flip in every frame",
-    )
-
-
-def _ber_sweep_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--ebno", required=True, metavar="SPEC",
-        help="Eb/N0 dB points: 'start:step:stop' or a comma list",
-    )
-    parser.add_argument("--min-bits", default="1e5", metavar="N",
-                        help="minimum information bits per point (default 1e5)")
-    parser.add_argument("--max-bits", default="1e7", metavar="N",
-                        help="information-bit budget per point (default 1e7)")
-    parser.add_argument("--stop-errors", default="200", metavar="N",
-                        help="stop a point after this many bit errors (default 200)")
-    parser.add_argument("--seed", default="0", help="sweep seed (default 0)")
-    parser.add_argument("-o", "--out", default="-", metavar="PATH",
-                        help="CSV output path ('-' for stdout)")
-
-
-def _power_compare_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--frames", default="1000", metavar="N",
-                        help="frames to decode under each scheme (default 1000)")
-    parser.add_argument("--ebno", default="4", metavar="DB",
-                        help="channel Eb/N0 in dB (default 4)")
-    parser.add_argument("--seed", default="0", help="run seed (default 0)")
-    parser.add_argument("-o", "--out", default="-", metavar="PATH",
-                        help="CSV output path ('-' for stdout)")
-
-
-def _resolve_spec(args: argparse.Namespace) -> CodeSpec:
+def _resolve_spec(args: SimpleNamespace) -> CodeSpec:
     try:
         return CodeSpec.from_octal(
             args.generators,
@@ -309,13 +186,13 @@ def _spec_summary(spec: CodeSpec) -> str:
     )
 
 
-def _cmd_encode(args: argparse.Namespace, spec: CodeSpec) -> None:
+def _cmd_encode(args: SimpleNamespace, spec: CodeSpec) -> None:
     trellis = build_trellis(spec)
     payloads = _read_frames(args.input, spec.payload_length, "payload")
     _write((args.output, _format_frames(encode_frames(payloads, trellis))))
 
 
-def _cmd_decode(args: argparse.Namespace, spec: CodeSpec) -> None:
+def _cmd_decode(args: SimpleNamespace, spec: CodeSpec) -> None:
     trellis = build_trellis(spec)
     frames = _read_frames(args.input, 2 * spec.frame_stages, "coded")
     scheme = TRACEBACK if args.scheme == "traceback" else REGISTER_EXCHANGE
@@ -327,7 +204,7 @@ def _cmd_decode(args: argparse.Namespace, spec: CodeSpec) -> None:
     _write(*outputs)
 
 
-def _cmd_oracle_decode(args: argparse.Namespace, spec: CodeSpec) -> None:
+def _cmd_oracle_decode(args: SimpleNamespace, spec: CodeSpec) -> None:
     if spec.payload_length > MAX_PAYLOAD_BITS:
         raise CliError(
             f"oracle-decode enumerates 2^{spec.payload_length} payloads; "
@@ -338,7 +215,7 @@ def _cmd_oracle_decode(args: argparse.Namespace, spec: CodeSpec) -> None:
     _write((args.output, _format_frames(payloads.reshape(-1, spec.payload_length))))
 
 
-def _cmd_inject_errors(args: argparse.Namespace, spec: CodeSpec) -> None:
+def _cmd_inject_errors(args: SimpleNamespace, spec: CodeSpec) -> None:
     positions = {_parse_count(p, "--positions") for p in args.positions.split(",") if p.strip()}
     frames = _read_frames(args.input, 2 * spec.frame_stages, "coded")
     _write((args.output, _format_frames(inject_errors(frames, positions))))
@@ -387,7 +264,7 @@ def _parse_count(text: str, flag: str) -> int:
     return count
 
 
-def _cmd_ber_sweep(args: argparse.Namespace, spec: CodeSpec) -> None:
+def _cmd_ber_sweep(args: SimpleNamespace, spec: CodeSpec) -> None:
     ebno = _parse_ebno(args.ebno)
     low = _parse_count(args.min_bits, "--min-bits")
     high = _parse_count(args.max_bits, "--max-bits")
@@ -401,7 +278,7 @@ def _cmd_ber_sweep(args: argparse.Namespace, spec: CodeSpec) -> None:
     _write((args.out, format_ber_csv(ber_sweep(cfg)).encode()))
 
 
-def _cmd_power_compare(args: argparse.Namespace, spec: CodeSpec) -> None:
+def _cmd_power_compare(args: SimpleNamespace, spec: CodeSpec) -> None:
     ebno = _parse_ebno(args.ebno)
     if len(ebno) != 1:
         raise CliError(f"--ebno must name one Eb/N0 point, got {args.ebno!r}")
@@ -410,29 +287,188 @@ def _cmd_power_compare(args: argparse.Namespace, spec: CodeSpec) -> None:
     _write((args.out, format_power_csv(result).encode()))
 
 
-# each command's help line, argument adder and handler, in help order
+# One row per option: (flags, dest, metavar or None for a switch, default, help[, choices]).
+# The reader, the usage line and the help text are all built from these rows.
+_REQUIRED = ...  # the default of an option that must be given
+_HELP = (("-h", "--help"), "help", None, None, "show this help message and exit")
+_VERSION = (("--version",), "version", None, None, "show program's version number and exit")
+_GLOBAL_OPTIONS = (
+    (("-K", "--constraint-length"), "constraint_length", "K", "7",
+     "constraint length (default 7)"),
+    (("-L", "--frame-stages"), "frame_stages", "L", "40",
+     "encoder inputs per frame including the zero tail (default 40)"),
+    (("--generators",), "generators", "OCT,OCT", "171,133",
+     "octal generator pair (default 171,133)"),
+    (("--spec-dump",), "spec_dump", None, False, "print the resolved code spec and exit"),
+)
+_IO_OPTIONS = (
+    (("-i", "--in"), "input", "PATH", "-", "input frames, one per line ('-' for stdin)"),
+    (("-o", "--out"), "output", "PATH", "-", "output path ('-' for stdout)"),
+)
+_CSV_OUT = (("-o", "--out"), "out", "PATH", "-", "CSV output path ('-' for stdout)")
+_DESCRIPTION = ("Rate-1/2 convolutional coding toolkit. Default code: K=7, generators 171/133 "
+                "octal, 40-stage frames (34 payload bits plus a 6-bit zero tail).")
+
+# each command's help line, options and handler, in help order
 _COMMANDS = {
-    "encode": ("encode payload frames", _io_arguments, _cmd_encode),
-    "decode": ("Viterbi-decode coded frames to payloads", _decode_arguments, _cmd_decode),
-    "oracle-decode": ("exhaustive ML decode (small codes only)", _io_arguments,
-                      _cmd_oracle_decode),
-    "inject-errors": ("flip fixed bit positions per frame", _inject_errors_arguments,
-                      _cmd_inject_errors),
-    "ber-sweep": ("Monte-Carlo BER sweep over Eb/N0", _ber_sweep_arguments, _cmd_ber_sweep),
-    "power-compare": ("survivor-activity comparison of both schemes",
-                      _power_compare_arguments, _cmd_power_compare),
+    "encode": ("encode payload frames", _IO_OPTIONS, _cmd_encode),
+    "decode": ("Viterbi-decode coded frames to payloads", (
+        *_IO_OPTIONS,
+        (("--scheme",), "scheme", "{traceback,regex}", "traceback",
+         "survivor storage: trace-back or register exchange (regex)", ("traceback", "regex")),
+        (("--activity",), "activity", "PATH", None,
+         "also write aggregated switching-activity CSV to PATH"),
+    ), _cmd_decode),
+    "oracle-decode": ("exhaustive ML decode (small codes only)", _IO_OPTIONS, _cmd_oracle_decode),
+    "inject-errors": ("flip fixed bit positions per frame", (
+        *_IO_OPTIONS,
+        (("--positions",), "positions", "N,N,...", _REQUIRED,
+         "comma-separated bit indices to flip in every frame"),
+    ), _cmd_inject_errors),
+    "ber-sweep": ("Monte-Carlo BER sweep over Eb/N0", (
+        (("--ebno",), "ebno", "SPEC", _REQUIRED,
+         "Eb/N0 dB points: 'start:step:stop' or a comma list"),
+        (("--min-bits",), "min_bits", "N", "1e5",
+         "minimum information bits per point (default 1e5)"),
+        (("--max-bits",), "max_bits", "N", "1e7", "information-bit budget per point (default 1e7)"),
+        (("--stop-errors",), "stop_errors", "N", "200",
+         "stop a point after this many bit errors (default 200)"),
+        (("--seed",), "seed", "SEED", "0", "sweep seed (default 0)"),
+        _CSV_OUT,
+    ), _cmd_ber_sweep),
+    "power-compare": ("survivor-activity comparison of both schemes", (
+        (("--frames",), "frames", "N", "1000", "frames to decode under each scheme (default 1000)"),
+        (("--ebno",), "ebno", "DB", "4", "channel Eb/N0 in dB (default 4)"),
+        (("--seed",), "seed", "SEED", "0", "run seed (default 0)"),
+        _CSV_OUT,
+    ), _cmd_power_compare),
 }
 
 
+def _is_value(token: str) -> bool:  # a word, '-' alone, or '-' and a digit or '.'
+    return token[:1] != "-" or token[1:2] in "0123456789."  # "" is in every string
+
+
+def _rows(command: str | None) -> tuple:
+    """The rows in scope: the global options before the command, its own after it."""
+    if command is None:
+        return _HELP, _VERSION, *_GLOBAL_OPTIONS
+    return _HELP, *_COMMANDS[command][1]
+
+
+def _read_argv(argv: Sequence[str]) -> SimpleNamespace:
+    """Read ``argv`` by the option tables and argparse's rules (README, "CLI").  Help or
+    version text exits 0 where it is reached; a shape error prints the usage and exits 2."""
+    command, rows, extras = None, _rows(None), []
+    values = {row[1]: row[3] for row in _GLOBAL_OPTIONS} | {"command": None}
+    for token in (tokens := iter(argv)):
+        if _is_value(token):
+            if command is not None:
+                extras.append(token)
+            elif token not in _COMMANDS:
+                _usage_error(None, f"argument command: invalid choice: {token!r} "
+                                   f"(choose from {', '.join(map(repr, _COMMANDS))})")
+            else:
+                command, rows = token, _rows(token)
+                values |= {row[1]: row[3] for row in rows[1:]} | {"command": token}
+            continue
+        if token.startswith("--"):  # --long, --long=VALUE, or a unique prefix of --long
+            flag, equals, value = token.partition("=")
+            found = ([row for row in rows if flag in row[0]]
+                     or [row for row in rows if flag != "--" and row[0][-1].startswith(flag)])
+            value = value if equals else None
+        else:  # -S, -SVALUE or -S=VALUE
+            flag, value = token[:2], token[2:].removeprefix("=") if token[2:] else None
+            found = [row for row in rows if flag in row[0]]
+        if len(found) > 1:
+            matches = ", ".join(row[0][-1] for row in found)
+            _usage_error(command, f"ambiguous option: {token} could match {matches}")
+        if not found:
+            extras.append(token)
+            continue
+        flags, dest, metavar, *_ = row = found[0]
+        name = "/".join(flags)
+        if metavar is None and value is not None:
+            _usage_error(command, f"argument {name}: ignored explicit argument {value!r}")
+        if dest in ("help", "version"):
+            text = _help(command) if dest == "help" else f"convfec {__version__}\n"
+            _write_stdout(text.encode())
+            raise SystemExit(0)
+        if metavar is None:
+            value = True
+        elif value is None:
+            value = next(tokens, None)
+            if value is None or not _is_value(value):
+                _usage_error(command, f"argument {name}: expected one argument")
+        if row[5:] and value not in row[5]:
+            _usage_error(command, f"argument {name}: invalid choice: {value!r} "
+                                  f"(choose from {', '.join(map(repr, row[5]))})")
+        values[dest] = value
+    if missing := ["/".join(row[0]) for row in rows if values.get(row[1]) is _REQUIRED]:
+        _usage_error(command, f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        _usage_error(None, f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(**values)
+
+
+def _usage_error(command: str | None, message: str) -> NoReturn:
+    prog = "convfec" if command is None else f"convfec {command}"
+    with contextlib.suppress(AttributeError, OSError):  # a closed stderr still exits 2
+        sys.stderr.write(f"{_usage(command)}{prog}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _usage(command: str | None) -> str:
+    """argparse's usage text: wrapped at the terminal width less 2, with the command on a
+    line of its own once it wraps."""
+    width = shutil.get_terminal_size().columns - 2
+    prog = "convfec" if command is None else f"convfec {command}"
+    parts = [row[0][0] if row[2] is None else f"{row[0][0]} {row[2]}" for row in _rows(command)]
+    parts = [p if row[3] is _REQUIRED else f"[{p}]" for p, row in zip(parts, _rows(command))]
+    last = [] if command else ["command ..."]
+    if len(line := " ".join(["usage:", prog, *parts, *last])) > width:
+        indent, lines = " " * (len(prog) + 8), [f"usage: {prog}"]
+        for part in parts:
+            if len(lines[-1]) + 1 + len(part) > width:
+                lines.append(indent + part)
+            else:
+                lines[-1] += f" {part}"
+        line = "\n".join(lines + [indent + part for part in last])
+    return line + "\n"
+
+
+def _help(command: str | None) -> str:
+    """argparse's help layout: each invocation, and its help from argparse's column on,
+    wrapped at the terminal width less 2."""
+    width = shutil.get_terminal_size().columns - 2
+    text, sections = _usage(command), {"options:": [
+        ("  " + ", ".join(f if row[2] is None else f"{f} {row[2]}" for f in row[0]), row[4])
+        for row in _rows(command)]}
+    if command is None:
+        text += f"\n{textwrap.fill(_DESCRIPTION, width)}\n"
+        sections = {"positional arguments:": [("  command", ""), *(
+            (f"    {name}", entry[0]) for name, entry in _COMMANDS.items())], **sections}
+    column = min(max(len(head) for items in sections.values() for head, _ in items) + 2,
+                 24, max(width - 20, 4))
+    for title, items in sections.items():
+        text += f"\n{title}\n"
+        for head, help_text in items:
+            wrapped = textwrap.wrap(help_text, max(width - column, 11))
+            lines = [head, *(" " * column + line for line in wrapped)]
+            if wrapped and len(head) + 2 <= column:  # the help starts on the same line
+                lines[:2] = [head.ljust(column) + wrapped[0]]
+            text += "\n".join(lines) + "\n"
+    return text
+
+
 def run(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _read_argv(sys.argv[1:] if argv is None else argv)
         spec = _resolve_spec(args)
         if args.spec_dump:
             _write_stdout(f"{_spec_summary(spec)}\n".encode())
         elif args.command is None:
-            parser.error("a command is required")
+            _usage_error(None, "a command is required")
         else:
             _COMMANDS[args.command][2](args, spec)
     except SystemExit as exc:  # --help, --version and usage errors

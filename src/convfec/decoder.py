@@ -31,6 +31,8 @@ class ActivityReport(_Value):
     is a closed form, since none depends on the data."""
 
     def __init__(self, spec: CodeSpec, scheme: str, frames: int) -> None:
+        if not isinstance(scheme, str):  # a list or dict is unhashable: name it first
+            raise TypeError(f"scheme must be a string, got {scheme!r}")
         if scheme not in _SURVIVOR_MEMORIES:
             raise ValueError(f"unknown survivor scheme {scheme!r}")
         frames = _index(frames, "frames")
@@ -178,6 +180,8 @@ def decode_frames(coded: np.ndarray, trellis: Trellis,
     """
     spec = trellis.spec
     arr = bit_rows(coded, 2 * spec.frame_stages, "coded frames")
+    if not isinstance(scheme, str):
+        raise TypeError(f"scheme must be a string, got {scheme!r}")
     memory = _SURVIVOR_MEMORIES.get(scheme)
     if memory is None:
         raise ValueError(f"unknown survivor scheme {scheme!r}")

@@ -8,6 +8,7 @@ The point is to be obviously correct, not fast.
 
 from __future__ import annotations
 
+import argparse
 import math
 
 import numpy as np
@@ -277,3 +278,39 @@ def reference_parse_lines(fp, expected_len: int, what: str) -> np.ndarray:
         lines.append(line)
     digits = np.frombuffer("".join(lines).encode("ascii"), dtype=np.uint8)
     return (digits - ord("0")).reshape(len(lines), expected_len)
+
+
+def reference_parser(version: str) -> argparse.ArgumentParser:
+    """The argparse tree that read the CLI's command line before ``cli._read_argv``."""
+    parser = argparse.ArgumentParser(prog="convfec")
+    parser.add_argument("--version", action="version", version=f"%(prog)s {version}")
+    parser.add_argument("-K", "--constraint-length", default="7")
+    parser.add_argument("-L", "--frame-stages", default="40")
+    parser.add_argument("--generators", default="171,133")
+    parser.add_argument("--spec-dump", action="store_true")
+    sub = parser.add_subparsers(dest="command", metavar="command")
+
+    def io(command: argparse.ArgumentParser) -> argparse.ArgumentParser:
+        command.add_argument("-i", "--in", dest="input", default="-")
+        command.add_argument("-o", "--out", dest="output", default="-")
+        return command
+
+    io(sub.add_parser("encode"))
+    decode = io(sub.add_parser("decode"))
+    decode.add_argument("--scheme", choices=("traceback", "regex"), default="traceback")
+    decode.add_argument("--activity")
+    io(sub.add_parser("oracle-decode"))
+    io(sub.add_parser("inject-errors")).add_argument("--positions", required=True)
+    sweep = sub.add_parser("ber-sweep")
+    sweep.add_argument("--ebno", required=True)
+    sweep.add_argument("--min-bits", default="1e5")
+    sweep.add_argument("--max-bits", default="1e7")
+    sweep.add_argument("--stop-errors", default="200")
+    sweep.add_argument("--seed", default="0")
+    sweep.add_argument("-o", "--out", default="-")
+    power = sub.add_parser("power-compare")
+    power.add_argument("--frames", default="1000")
+    power.add_argument("--ebno", default="4")
+    power.add_argument("--seed", default="0")
+    power.add_argument("-o", "--out", default="-")
+    return parser

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
-import argparse
 import importlib.metadata
+import shlex
 import io
 import os
 import random
@@ -22,7 +22,7 @@ from convfec import __version__, cli, oracle
 from convfec.decoder import REGISTER_EXCHANGE, TRACEBACK
 from convfec.trellis import CodeSpec
 
-from reference import reference_parse_lines
+from reference import reference_parse_lines, reference_parser
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -143,6 +143,11 @@ _VARIANCE = "is out of range: the noise variance at code rate 0.5 is not finite"
                  "--ebno range step must be positive", id="ebno-step-zero"),
     pytest.param({}, ["ber-sweep", "--ebno", "1:2", "-o", "ber.csv"],
                  "--ebno range must be start:step:stop, got '1:2'", id="ebno-range-two-parts"),
+    pytest.param({}, ["ber-sweep", "--ebno", "0:1:2000", "-o", "ber.csv"],
+                 "--ebno range names more than 1000 points, got '0:1:2000'",
+                 id="ebno-range-too-long"),
+    pytest.param({}, ["ber-sweep", "--ebno", "1e20:1:1e21", "-o", "ber.csv"],
+                 "--ebno range step 1.0 does not advance from 1e+20", id="ebno-step-lost"),
     pytest.param({}, ["ber-sweep", "--ebno", "abc", "-o", "ber.csv"],
                  "--ebno must be numeric, got 'abc'", id="ebno-not-numeric"),
     pytest.param({}, ["ber-sweep", "--ebno", "5:1:4", "--min-bits", "0", "-o", "ber.csv"],
@@ -648,6 +653,14 @@ def test_closed_stdio_is_one_line(capsys, monkeypatch, payload_file, stream, arg
     assert capsys.readouterr().err == f"convfec: error: {message}\n"
 
 
+def test_a_usage_error_with_stderr_closed_still_exits_2():
+    # '2>&-': writing the usage text fails, as argparse's writer did, and stdout stays empty
+    result = subprocess.run([sys.executable, "-m", "convfec", "--frobnicate"],
+                            stdout=subprocess.PIPE, preexec_fn=lambda: os.close(2),
+                            env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60)
+    assert (result.returncode, result.stdout) == (2, b"")
+
+
 def test_decode_empty_input_still_reports_scheme(tmp_path):
     empty = tmp_path / "empty.txt"
     empty.write_text("")
@@ -657,44 +670,6 @@ def test_decode_empty_input_still_reports_scheme(tmp_path):
                 "--activity", str(activity)]) == 0
     assert out.read_text() == ""
     assert activity.read_text().splitlines()[1] == "register-exchange,0,0,0,0"
-
-
-def test_parser_is_built_on_the_first_run_not_at_import():
-    code = (
-        "import argparse\n"
-        "built = []\n"
-        "init = argparse.ArgumentParser.__init__\n"
-        "def counting(self, *args, **kwargs):\n"
-        "    built.append(self)\n"
-        "    init(self, *args, **kwargs)\n"
-        "argparse.ArgumentParser.__init__ = counting\n"
-        "import convfec.cli\n"
-        "counts = [len(built)]\n"
-        "for _ in range(2):\n"
-        "    convfec.cli.run(['--spec-dump'])\n"
-        "    counts.append(len(built))\n"
-        "print(*counts)\n"
-    )
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            env={**os.environ, "PYTHONPATH": str(SRC)}, check=True)
-    at_import, first_run, second_run = map(int, result.stdout.splitlines()[-1].split())
-    assert at_import == 0
-    assert first_run > 0
-    assert second_run == first_run
-
-
-def test_a_second_run_builds_no_parser(monkeypatch, capsys):
-    assert run(["--spec-dump"]) == 0
-    built = []
-    init = argparse.ArgumentParser.__init__
-
-    def counting(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
-    assert run(["--spec-dump"]) == 0
-    assert built == []
 
 
 def test_shared_parser_forgets_decode_options(tmp_path, payload_file, monkeypatch):
@@ -750,29 +725,136 @@ def test_version_then_spec_dump(capsys):
         "payload_bits=34 tail_bits=6 states=64\n")
 
 
-def test_each_subcommand_parser_is_built_when_first_selected(tmp_path, payload_file,
-                                                             monkeypatch):
-    payloads, _ = payload_file
-    coded, decoded = tmp_path / "coded.txt", tmp_path / "decoded.txt"
-    built = []
-    init = argparse.ArgumentParser.__init__
+# every command line reads the same under cli._read_argv and the reference argparse tree:
+# the same namespace, or exit 0 from the same parser's help or version, or exit 2
+_ARGV_CORPUS = [
+    # global options: long, short, '=', attached and abbreviated forms; repeats; negatives
+    "", "--spec-dump", "--spec", "--s", "-K 3 --spec-dump", "-K3 --spec-dump", "-K=3 --spec-dump",
+    "--constraint-length 3 --spec-dump", "--constraint-length=3 --s", "--con 3 --s", "--c=3 --s",
+    "-L 5 --s", "-L5 --s", "-L=5 --s", "--frame-stages 5 --s", "--frame=5 --s", "--f 5 --s",
+    "--generators 7,5 --s", "--generators=7,5 --s", "--gen 7,5 --s", "--g=7,5 --s",
+    "-K 3 -K 5 --spec-dump", "-K -3 --spec-dump", "-K -3.5 --s", "-K -.5 --s", "-K=-3 --s",
+    "--spec-dump --spec-dump", "-K 3 --generators 7,5 -L 5 encode", "--help", "-h", "--he",
+    "--version", "--vers", "--v", "--help encode", "--frob --help", "--version --help",
+    "--help --version", "-K 3 --help",
+    # each command's options
+    "encode", "encode -i a -o b", "encode -ia -ob", "encode -i=a -o=b", "encode --in a --out b",
+    "encode --in=a --out=b", "encode --i a --o b", "encode --i=a --ou=b", "encode -i - -o -",
+    "encode -i a -i b", "encode -i -5", "encode -o -.5", "encode --help", "encode -h",
+    "encode --h", "encode --frob --help", "encode -i a --help", "decode --scheme regex",
+    "decode --scheme=traceback", "decode --sch regex", "decode --s regex", "decode --activity a",
+    "decode --act=a", "decode --a a", "decode -i a --activity -",
+    "decode --scheme regex --scheme traceback", "decode --activity a --activity b",
+    "oracle-decode -i a -o b", "oracle-decode --in=a", "oracle-decode --help",
+    "inject-errors --positions 1,2", "inject-errors --positions=1,2", "inject-errors --pos 3",
+    "inject-errors --p 3", "inject-errors --positions -1", "inject-errors --positions 1 -i a",
+    "inject-errors --positions 1 --positions 2", "inject-errors --help", "ber-sweep --ebno 4",
+    "ber-sweep --ebno=-2:2:4", "ber-sweep --ebno -2", "ber-sweep --ebno -2.5",
+    "ber-sweep --ebno -.5", "ber-sweep --eb 4", "ber-sweep --e 4 --min-bits 0",
+    "ber-sweep --e 4 --min=0", "ber-sweep --e 4 --mi 0", "ber-sweep --e 4 --max-bits 1e3",
+    "ber-sweep --e 4 --ma 5", "ber-sweep --e 4 --stop-errors 5", "ber-sweep --e 4 --st 5",
+    "ber-sweep --e 4 --stop=5", "ber-sweep --e 4 --seed 3", "ber-sweep --e 4 --se 3",
+    "ber-sweep --e 4 -o x", "ber-sweep --e 4 -ox", "ber-sweep --e 4 --out=x",
+    "ber-sweep --e 4 --o x", "ber-sweep --ebno 1 --ebno 2", "ber-sweep --e 4 --seed -3",
+    "ber-sweep --help", "power-compare", "power-compare --frames 10", "power-compare --fr 10",
+    "power-compare --f 10", "power-compare --ebno 3", "power-compare --e 3",
+    "power-compare --ebno -3", "power-compare --ebno=-3", "power-compare --seed 1 --seed 2",
+    "power-compare -o x", "power-compare --out x", "power-compare --frames -1",
+    "power-compare --help",
+    # shape errors: unknown flag, command or extra argument
+    "--frobnicate", "-x", "frob", "encode extra", "encode --frob", "encode -x", "encode -i a b",
+    "--spec-dump encode --frob", "--frob encode", "encode --frob=1", "decode --scheme regex x",
+    # a global option after the command
+    "encode -K 3", "encode --spec-dump", "decode --generators 7,5", "encode --version",
+    "ber-sweep --ebno 1 -L 5",
+    # an option with no value, or a switch given one
+    "-K", "--generators", "-K --spec-dump", "encode -i", "encode -o", "encode -i -x",
+    "encode -o --in a", "decode --activity", "decode --scheme", "inject-errors --positions",
+    "ber-sweep --ebno", "ber-sweep --ebno 1 --seed", "power-compare --frames", "-K 3 -K",
+    "--spec-dump=1", "--spec=1", "encode --help=1",
+    # a missing required option
+    "inject-errors", "inject-errors -i a", "ber-sweep", "ber-sweep -o x", "ber-sweep --min-bits 0",
+    # a bad --scheme
+    "decode --scheme x", "decode --scheme=x", "decode --s x", "decode --scheme Regex",
+    "decode --scheme x --help",
+    # an ambiguous prefix
+    "ber-sweep --m 5", "ber-sweep --ebno 1 --m 5", "ber-sweep --ebno 1 --s 5",
+    "ber-sweep --ebno 1 --s=5",
+    # odd tokens: '--', '-' and '' in each place, values attached after '=' or a dash
+    "--", "encode --", "--spec-dump --", "-K 3 -- encode", "encode -i --", "-", "encode -", "''",
+    "'' encode", "-K ''", "encode -i ''", "encode -i=", "--generators= --s", "---x", "encode ---i",
+    "encode -i-", "-K-3 --s", "-Kx=3 --s", "-K==3 --s",
+]
 
-    def counting(self, *args, **kwargs):
-        built.append(kwargs.get("prog"))
-        init(self, *args, **kwargs)
+# argparse reads only -N and -N.N as numbers, so these fail there; the reader takes
+# any token that starts with '-' and a digit or '.' as a value, as the '=' form does
+_ARGPARSE_REFUSES = [
+    ("ber-sweep --ebno -2:2:4", "ber-sweep --ebno=-2:2:4"),
+    ("ber-sweep --ebno -2,0", "ber-sweep --ebno=-2,0"),
+    ("inject-errors --positions -1,2", "inject-errors --positions=-1,2"),
+    ("-K -1e3 --spec-dump", "-K=-1e3 --spec-dump"),
+    ("power-compare --ebno -.5e1", "power-compare --ebno=-.5e1"),
+]
 
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
-    cli.build_parser.cache_clear()
-    new = []
-    for argv in (["--spec-dump"],
-                 ["encode", "-i", str(payloads), "-o", str(coded)],
-                 ["encode", "-i", str(payloads), "-o", str(coded)],
-                 ["decode", "-i", str(coded), "-o", str(decoded)]):
-        before = len(built)
-        assert run(argv) == 0
-        new.append(len(built) - before)
-    assert new == [1, 1, 0, 1]
-    assert built == ["convfec", "convfec encode", "convfec decode"]
+
+def _outcome(read, argv, capsys):
+    """The namespace read from ``argv``; or the exit status, the first words of stdout (the
+    usage line of the help in scope, or the version) and the parser that named an error."""
+    try:
+        return vars(read(argv))
+    except SystemExit as exc:
+        out, err = capsys.readouterr()
+        return exc.code, out.split()[:3], err.rpartition(": error: ")[0].rpartition("\n")[2]
+
+
+@pytest.mark.parametrize("line", _ARGV_CORPUS)
+def test_the_reader_reads_a_command_line_as_argparse_did(capsys, line):
+    argv = shlex.split(line)
+    want = _outcome(reference_parser(__version__).parse_args, argv, capsys)
+    assert _outcome(cli._read_argv, argv, capsys) == want
+
+
+@pytest.mark.parametrize("line, same", _ARGPARSE_REFUSES)
+def test_a_dash_and_a_digit_start_a_value(capsys, line, same):
+    reference = reference_parser(__version__).parse_args
+    assert _outcome(reference, shlex.split(line), capsys)[0] == 2
+    assert _outcome(cli._read_argv, shlex.split(line), capsys) == vars(
+        reference(shlex.split(same)))
+
+
+def test_a_negative_ebno_range_may_follow_its_flag(tmp_path):
+    spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+    sweep = ["ber-sweep", "--min-bits", "0", "--max-bits", "68"]
+    assert run([*sweep, "--ebno", "-2:2:0", "-o", str(spaced)]) == 0
+    assert run([*sweep, "--ebno=-2:2:0", "-o", str(joined)]) == 0
+    assert len(spaced.read_text().splitlines()) == 5
+    assert spaced.read_bytes() == joined.read_bytes()
+
+
+def test_no_run_imports_argparse_gettext_or_locale():
+    # what argparse cost a run: its import, gettext's, and locale's on its first message
+    null, small = os.devnull, ["-K", "3", "--generators", "7,5", "-L", "5"]
+    argvs = [["--spec-dump"], ["--version"], ["--help"], ["decode", "--help"], ["--frobnicate"],
+             ["inject-errors"], ["encode", "-i", null, "-o", null],
+             ["decode", "-i", null, "-o", null, "--activity", null],
+             [*small, "oracle-decode", "-i", null, "-o", null],
+             ["inject-errors", "--positions", "1", "-i", null, "-o", null],
+             ["ber-sweep", "--ebno", "4", "--min-bits", "0", "--max-bits", "34", "-o", null],
+             ["power-compare", "--frames", "1", "-o", null]]
+    code = (
+        "import sys\n"
+        "import convfec.cli\n"
+        "names = {'argparse', 'gettext', 'locale'}\n"
+        "seen = [sorted(names & set(sys.modules))]\n"
+        f"for argv in {argvs!r}:\n"
+        "    seen.append((argv[0], convfec.cli.run(argv), sorted(names & set(sys.modules))))\n"
+        "print(seen)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(SRC)}, check=True, timeout=60)
+    codes = [0, 0, 0, 0, 2, 2, 0, 0, 0, 0, 0, 0]
+    assert result.stdout.splitlines()[-1] == repr(
+        [[], *((argv[0], code, []) for argv, code in zip(argvs, codes))])
 
 
 _COMMAND_HELP = {

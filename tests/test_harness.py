@@ -272,6 +272,10 @@ def test_ber_point_refuses_zero_info_bits():
         BerPoint(UNCODED_BPSK, 4.0, 0, 0, 0, 42)
 
 
+def test_ber_point_takes_one_info_bit():
+    assert BerPoint(UNCODED_BPSK, 4.0, 1, 0, 0, 42).ber == 0.0
+
+
 def test_power_csv_format():
     text = format_power_csv(power_compare(4.0, 1, 7))
     lines = text.splitlines()

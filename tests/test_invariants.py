@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from convfec.channel import NoiseConfig, hard_quantize, inject_errors
-from convfec.decoder import TRACEBACK, ActivityReport
+from convfec.decoder import TRACEBACK, ActivityReport, decode_frames
 from convfec.harness import (
     PowerCompareResult,
     SweepConfig,
@@ -144,6 +144,17 @@ def test_real_fields_refuse_other_values_by_name(build, field):
 ])
 def test_spec_fields_refuse_other_values_by_name(build):
     with pytest.raises(TypeError, match=r"^spec must be a CodeSpec, got "):
+        build()
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: ActivityReport(DEFAULT_SPEC, ["x"], 1), id="activity"),
+    pytest.param(lambda: decode_frames(np.zeros((1, 80), np.uint8), build_trellis(DEFAULT_SPEC),
+                                       ["x"]), id="decode"),
+])
+def test_scheme_fields_refuse_other_values_by_name(build):
+    # an unhashable scheme once failed in the survivor-memory lookup, naming no field
+    with pytest.raises(TypeError, match=r"^scheme must be a string, got \['x'\]$"):
         build()
 
 

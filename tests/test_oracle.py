@@ -8,7 +8,7 @@ from convfec.encoder import encode_frames
 from convfec.oracle import MAX_PAYLOAD_BITS, ml_decode_frames
 from convfec.trellis import DEFAULT_SPEC, CodeSpec, build_trellis
 
-from reference import ml_enumerate
+from reference import ml_enumerate, reference_encode
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +54,12 @@ def test_guard_rejects_large_payload_space():
     assert DEFAULT_SPEC.payload_length > MAX_PAYLOAD_BITS
     with pytest.raises(ValueError, match="guard"):
         ml_decode_frames([[0] * 80], DEFAULT_SPEC)
+
+
+def test_the_guard_admits_exactly_its_payload_bits():
+    spec = CodeSpec.from_octal("7,5", constraint_length=3, frame_stages=26)
+    assert spec.payload_length == MAX_PAYLOAD_BITS
+    assert ml_decode_frames(np.zeros((0, 52), np.uint8), spec) == []
 
 
 def test_received_word_validation(k3_spec):
@@ -110,6 +116,16 @@ def test_two_block_enumeration_agrees_with_viterbi():
     [exact] = ml_decode_frames(clean[np.newaxis], spec)
     assert exact.best_payload == tuple(payload.tolist())
     assert exact.minimizer_unique
+
+
+def test_a_tie_across_codebook_blocks_keeps_the_first_payload():
+    # p = 17: payloads 0 (first block) and 88064 (second block) are both at distance 5
+    spec = CodeSpec.from_octal("7,5", constraint_length=3, frame_stages=19)
+    word = [int(c) for c in "11000000000001100000000001000000000000"]
+    later = [int(c) for c in format(88064, "017b")]
+    assert sum(a != b for a, b in zip(word, reference_encode(later, spec))) == 5
+    [result] = ml_decode_frames([word], spec)
+    assert (result.best_payload, result.best_distance, result.num_minimizers) == ((0,) * 17, 5, 2)
 
 
 def test_single_flip_moves_distance_by_at_most_one(k3_spec):

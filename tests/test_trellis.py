@@ -64,6 +64,8 @@ def test_from_octal_rejects_garbage():
     with pytest.raises(ValueError):
         # 171 octal needs 7 bits, does not fit K=5
         CodeSpec.from_octal("171,133", constraint_length=5, frame_stages=20)
+    with pytest.raises(ValueError, match=r"^generator '0' does not fit constraint length 3$"):
+        CodeSpec.from_octal("0,4", constraint_length=3, frame_stages=5)
 
 
 def test_zero_state_zero_input_emits_zeros(default_trellis):
