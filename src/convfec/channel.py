@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .trellis import _index, _real, _Value
+from .trellis import _index, _real, _typed, _Value
 
 
 def ebno_ratio(ebno_db: float) -> float:
@@ -35,11 +35,10 @@ class NoiseConfig(_Value):
     """AWGN operating point: Eb/N0 in dB and the code rate that spreads Eb."""
 
     def __init__(self, ebno_db: float, code_rate: float = 0.5) -> None:
-        ebno_ratio(_real(ebno_db, "ebno_db"))
-        if not 0.0 < _real(code_rate, "code_rate") <= 1.0:
+        self._set(ebno_db=_real(ebno_db, "ebno_db"), code_rate=_real(code_rate, "code_rate"))
+        if not 0.0 < code_rate <= 1.0:
             raise ValueError(f"code_rate must be in (0, 1], got {code_rate!r}")
-        self._set(ebno_db=ebno_db, code_rate=code_rate)
-        try:  # 2 * rate * 10^(dB/10) may be subnormal, or underflow to 0
+        try:  # ebno_ratio refuses the dB; 2 * rate * 10^(dB/10) may be subnormal, or 0
             finite = math.isfinite(self.noise_variance)
         except ZeroDivisionError:
             finite = False
@@ -65,8 +64,9 @@ def bpsk_modulate(bits: Sequence[int]) -> np.ndarray:
 def add_awgn(symbols: np.ndarray, cfg: NoiseConfig, rng: np.random.Generator) -> np.ndarray:
     """Add white Gaussian noise at the operating point of ``cfg``, drawn from
     ``rng`` (one ``standard_normal`` sample per symbol)."""
+    sigma = _typed(cfg, NoiseConfig, "cfg").noise_sigma
     arr = np.asarray(symbols, dtype=np.float64)
-    return arr + cfg.noise_sigma * rng.standard_normal(arr.shape)
+    return arr + sigma * _typed(rng, np.random.Generator, "rng").standard_normal(arr.shape)
 
 
 def hard_quantize(symbols: np.ndarray) -> np.ndarray:

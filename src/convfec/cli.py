@@ -474,7 +474,8 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # --help, --version and usage errors
         return int(exc.code or 0)
     except (CliError, ValueError) as exc:
-        print(f"convfec: error: {exc}", file=sys.stderr)
+        with contextlib.suppress(AttributeError, OSError):  # stderr closed or None: exit 1
+            sys.stderr.write(f"convfec: error: {exc}\n")
         return 1
     return 0
 

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .trellis import CodeSpec, Trellis, _code_spec, _index, _Value, bit_rows
+from .trellis import CodeSpec, Trellis, _count, _typed, _Value, bit_rows
 
 TRACEBACK = "trace-back"
 REGISTER_EXCHANGE = "register-exchange"
@@ -31,14 +31,9 @@ class ActivityReport(_Value):
     is a closed form, since none depends on the data."""
 
     def __init__(self, spec: CodeSpec, scheme: str, frames: int) -> None:
-        if not isinstance(scheme, str):  # a list or dict is unhashable: name it first
-            raise TypeError(f"scheme must be a string, got {scheme!r}")
-        if scheme not in _SURVIVOR_MEMORIES:
-            raise ValueError(f"unknown survivor scheme {scheme!r}")
-        frames = _index(frames, "frames")
-        if frames < 0:
-            raise ValueError(f"frames must be nonnegative, got {frames}")
-        self._set(spec=_code_spec(spec), scheme=scheme, frames=frames)
+        _survivor_memory(scheme)
+        self._set(spec=_typed(spec, CodeSpec, "spec"), scheme=scheme,
+                  frames=_count(frames, "frames"))
 
     @property
     def survivor_bit_writes(self) -> int:
@@ -164,6 +159,15 @@ def _register_exchange(words: np.ndarray, trellis: Trellis, frames: int) -> np.n
 _SURVIVOR_MEMORIES = {TRACEBACK: _traceback, REGISTER_EXCHANGE: _register_exchange}
 
 
+def _survivor_memory(scheme: str):
+    """The survivor memory that ``scheme`` names; a scheme that names none is refused."""
+    if not isinstance(scheme, str):  # a list or dict is unhashable: name it first
+        raise TypeError(f"scheme must be a string, got {scheme!r}")
+    if (memory := _SURVIVOR_MEMORIES.get(scheme)) is None:
+        raise ValueError(f"unknown survivor scheme {scheme!r}")
+    return memory
+
+
 def _check_terminal(final: np.ndarray, stages: int) -> None:
     # at most 2 per stage; an unreachable state 0 holds the sentinel and fails too
     if final.size and int(final.max()) > 2 * stages:
@@ -178,13 +182,9 @@ def decode_frames(coded: np.ndarray, trellis: Trellis,
     tail pins trace-back to state 0.  A decoded frame is payload plus tail; its
     metric is the Hamming distance from the input to its re-encoding.
     """
-    spec = trellis.spec
+    spec = _typed(trellis, Trellis, "trellis").spec
     arr = bit_rows(coded, 2 * spec.frame_stages, "coded frames")
-    if not isinstance(scheme, str):
-        raise TypeError(f"scheme must be a string, got {scheme!r}")
-    memory = _SURVIVOR_MEMORIES.get(scheme)
-    if memory is None:
-        raise ValueError(f"unknown survivor scheme {scheme!r}")
+    memory = _survivor_memory(scheme)
     decoded = np.empty((len(arr), spec.frame_stages), dtype=np.uint8)
     final_metrics = np.empty(len(arr), dtype=np.int64)
     block_frames = min(2048, max(256, _BLOCK_STATE_FRAMES // spec.num_states))
@@ -216,7 +216,7 @@ class StreamedFrame(_Value):
 def stream_decode(frames: Sequence[Sequence[int]], trellis: Trellis) -> list[StreamedFrame]:
     """Decode whole frames; frame ``i`` fills symbol clocks ``[i*L, (i+1)*L)`` and is
     available at ``(i+1)*L``, one frame of latency (recursion overlaps trace-back)."""
-    stages = trellis.spec.frame_stages
+    stages = _typed(trellis, Trellis, "trellis").spec.frame_stages
     frame_list = list(frames)
     for i, frame in enumerate(frame_list):
         if len(frame) != 2 * stages:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .trellis import Trellis, bit_rows
+from .trellis import Trellis, _typed, bit_rows
 
 
 def encode_frames(payloads: np.ndarray, trellis: Trellis) -> np.ndarray:
@@ -22,7 +22,7 @@ def encode_frames(payloads: np.ndarray, trellis: Trellis) -> np.ndarray:
     inputs times their weights ``2^j`` (numpy's uint ``*`` beats its ``<<``), and
     one gather from a bit-pair table gives every coded bit.
     """
-    spec = trellis.spec
+    spec = _typed(trellis, Trellis, "trellis").spec
     bits = bit_rows(payloads, spec.payload_length, "payloads")
     n, k, stages = bits.shape[0], spec.constraint_length, spec.frame_stages
     dtype = np.min_scalar_type(2 * trellis.num_states - 1)  # uint8 while 2S <= 256

@@ -22,7 +22,7 @@ import numpy as np
 from .channel import NoiseConfig, _bpsk_awgn_hard, ebno_ratio
 from .decoder import REGISTER_EXCHANGE, TRACEBACK, ActivityReport, decode_frames
 from .encoder import encode_frames
-from .trellis import DEFAULT_SPEC, CodeSpec, _code_spec, _index, _real, _Value, build_trellis
+from .trellis import DEFAULT_SPEC, CodeSpec, _count, _index, _real, _typed, _Value, build_trellis
 
 UNCODED_BPSK = "uncoded-bpsk"
 CODED_VITERBI = "coded-viterbi"
@@ -41,6 +41,7 @@ _Stage = Callable[[np.ndarray], np.ndarray]
 class BerPoint(_Value):
     def __init__(self, scheme: str, ebno_db: float, info_bits: int, bit_errors: int,
                  frame_errors: int, seed: int) -> None:
+        info_bits = _index(info_bits, "info_bits")
         if info_bits < 1:
             raise ValueError(f"info_bits must be at least 1 for a BER, got {info_bits!r}")
         self._set(scheme=scheme, ebno_db=ebno_db, info_bits=info_bits, bit_errors=bit_errors,
@@ -62,24 +63,18 @@ class SweepConfig(_Value):
 
     def __init__(self, ebno_points: tuple[float, ...], min_info_bits: int, max_info_bits: int,
                  stop_at_errors: int, seed: int, spec: CodeSpec = DEFAULT_SPEC) -> None:
-        _code_spec(spec)
+        _typed(spec, CodeSpec, "spec")
         ebno_points = tuple(ebno_points)
         if not ebno_points:
             raise ValueError("ebno_points must name at least one Eb/N0 point")
         for ebno_db in ebno_points:  # before any Monte-Carlo work; rate 1/2 is the noisier
             NoiseConfig(_real(ebno_db, "ebno_points"), code_rate=0.5)
-        min_info_bits = _index(min_info_bits, "min_info_bits")
+        min_info_bits = _count(min_info_bits, "min_info_bits")
         max_info_bits = _index(max_info_bits, "max_info_bits")
-        stop_at_errors = _index(stop_at_errors, "stop_at_errors")
-        seed = _index(seed, "seed")
-        if min_info_bits < 0:
-            raise ValueError("min_info_bits must be nonnegative")
+        stop_at_errors = _count(stop_at_errors, "stop_at_errors")
+        seed = _count(seed, "seed")
         if min_info_bits > max_info_bits:
             raise ValueError("min_info_bits must not exceed max_info_bits")
-        if stop_at_errors < 0:
-            raise ValueError("stop_at_errors must be nonnegative")
-        if seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {seed}")
         self._set(ebno_points=ebno_points, min_info_bits=min_info_bits,
                   max_info_bits=max_info_bits, stop_at_errors=stop_at_errors, seed=seed, spec=spec)
 
@@ -125,7 +120,7 @@ def _run_point(
 
 def ber_sweep(cfg: SweepConfig) -> list[BerPoint]:
     """Run the sweep; two :class:`BerPoint` rows per Eb/N0 value."""
-    trellis = build_trellis(cfg.spec)
+    trellis = build_trellis(_typed(cfg, SweepConfig, "cfg").spec)
     payload_len = cfg.spec.payload_length
     # (scheme, code rate, transmit, receive); tail bits never count toward BER
     schemes = (
@@ -146,8 +141,7 @@ class PowerCompareResult(_Value):
     """Activity of the same ``frames`` frames decoded under both survivor schemes."""
 
     def __init__(self, spec: CodeSpec, frames: int) -> None:
-        frames = ActivityReport(spec, TRACEBACK, frames).frames  # refuses a bad spec or count
-        self._set(spec=spec, frames=frames)
+        self._set(spec=_typed(spec, CodeSpec, "spec"), frames=_count(frames, "frames"))
 
     @property
     def traceback(self) -> ActivityReport:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .encoder import encode_frames
-from .trellis import CodeSpec, _Value, bit_rows, build_trellis
+from .trellis import CodeSpec, _typed, _Value, bit_rows, build_trellis
 
 MAX_PAYLOAD_BITS = 24
 
@@ -55,7 +55,7 @@ def ml_decode_frames(received: np.ndarray, spec: CodeSpec) -> list[MlResult]:
     Hamming distance.  Refuses payloads beyond :data:`MAX_PAYLOAD_BITS`, since the
     enumeration doubles per bit.
     """
-    p = spec.payload_length
+    p = _typed(spec, CodeSpec, "spec").payload_length
     if p > MAX_PAYLOAD_BITS:
         raise ValueError(
             f"payload space 2^{p} exceeds the exhaustive-search guard "

@@ -157,10 +157,17 @@ def _real(value, name: str):
     return value
 
 
-def _code_spec(value) -> "CodeSpec":
-    """``value`` itself when it is a :class:`CodeSpec`; else a ``TypeError`` naming ``spec``."""
-    if not isinstance(value, CodeSpec):
-        raise TypeError(f"spec must be a CodeSpec, got {value!r}")
+def _count(value, name: str) -> int:
+    """``_index(value, name)``, and a ``ValueError`` naming ``name`` when it is negative."""
+    if (n := _index(value, name)) < 0:
+        raise ValueError(f"{name} must be nonnegative, got {n}")
+    return n
+
+
+def _typed(value, cls: type, name: str):
+    """``value`` itself when it is a ``cls``; else a ``TypeError`` naming ``name``."""
+    if not isinstance(value, cls):
+        raise TypeError(f"{name} must be a {cls.__name__}, got {value!r}")
     return value
 
 
@@ -187,7 +194,7 @@ class Trellis:
     __setattr__, __delattr__ = _Value.__setattr__, _Value.__delattr__
 
     def __init__(self, spec: CodeSpec):
-        reg = np.arange(2 * spec.num_states)
+        reg = np.arange(2 * _typed(spec, CodeSpec, "spec").num_states)
         table = np.zeros_like(reg)
         for j, (tap1, tap2) in enumerate(zip(*spec.generators)):
             table ^= ((reg >> j) & 1) * (tap1 << 1 | tap2)
@@ -218,7 +225,7 @@ def build_trellis(spec: CodeSpec) -> Trellis:
     The structure is one butterfly pattern tiled over all states: states
     ``j`` and ``j + 2^(K-2)`` feed the successor pair ``{2j, 2j+1}``.
     """
-    return Trellis(_code_spec(spec))
+    return Trellis(spec)
 
 
 def free_distance(spec: CodeSpec, weight_cap: int) -> int | None:

@@ -11,6 +11,7 @@ import stat
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -659,6 +660,15 @@ def test_a_usage_error_with_stderr_closed_still_exits_2():
                             stdout=subprocess.PIPE, preexec_fn=lambda: os.close(2),
                             env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60)
     assert (result.returncode, result.stdout) == (2, b"")
+
+
+# '2>&-': stderr is None, or a stream whose writes fail with EBADF as on a closed descriptor
+@pytest.mark.parametrize("stderr", [None, SimpleNamespace(write=lambda text: os.write(-1, b""))],
+                         ids=["none", "write-fails"])
+def test_a_diagnostic_with_stderr_closed_still_exits_1(capsys, monkeypatch, stderr):
+    monkeypatch.setattr("sys.stderr", stderr)
+    assert run(["-K", "x", "--spec-dump"]) == 1
+    assert capsys.readouterr().out == ""
 
 
 def test_decode_empty_input_still_reports_scheme(tmp_path):

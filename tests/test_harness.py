@@ -51,13 +51,13 @@ def test_theory_rejects_non_finite():
 def test_sweep_config_validation():
     with pytest.raises(ValueError):
         SweepConfig((4.0,), min_info_bits=10, max_info_bits=5, stop_at_errors=0, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^stop_at_errors must be nonnegative, got -2$"):
         SweepConfig((4.0,), min_info_bits=1, max_info_bits=5, stop_at_errors=-2, seed=0)
     with pytest.raises(ValueError, match="Eb/N0 of 4000.0 dB"):  # every point, at construction
         SweepConfig((4.0, 4000.0), min_info_bits=1, max_info_bits=5, stop_at_errors=0, seed=0)
     with pytest.raises(ValueError, match=r"^seed must be nonnegative, got -1$"):
         SweepConfig((4.0,), min_info_bits=1, max_info_bits=5, stop_at_errors=0, seed=-1)
-    with pytest.raises(ValueError, match=r"^min_info_bits must be nonnegative$"):
+    with pytest.raises(ValueError, match=r"^min_info_bits must be nonnegative, got -1$"):
         SweepConfig((4.0,), min_info_bits=-1, max_info_bits=5, stop_at_errors=0, seed=0)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -12,17 +13,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import convfec
 from convfec.channel import NoiseConfig, hard_quantize, inject_errors
-from convfec.decoder import TRACEBACK, ActivityReport, decode_frames
+from convfec.decoder import TRACEBACK, ActivityReport
 from convfec.harness import (
-    PowerCompareResult,
     SweepConfig,
     ber_sweep,
     format_ber_csv,
     power_compare,
     theoretical_uncoded_ber,
 )
-from convfec.trellis import DEFAULT_SPEC, CodeSpec, build_trellis, free_distance
+from convfec.trellis import DEFAULT_SPEC, CodeSpec, Trellis, build_trellis, free_distance
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -38,34 +39,26 @@ def test_no_module_checks_an_invariant_with_assert():
 def test_invariants_raise_under_optimize():
     script = textwrap.dedent(
         """
-        import types
         import numpy as np
         from convfec.decoder import _check_terminal
         from convfec.encoder import encode_frames
-        from convfec.trellis import DEFAULT_SPEC, build_trellis
+        from convfec.trellis import DEFAULT_SPEC, CodeSpec, build_trellis
 
         assert False, "asserts must be stripped in this run"
         try:
             _check_terminal(np.array([999]), 40)
         except RuntimeError as exc:
             print("terminal:", exc)
-        good = build_trellis(DEFAULT_SPEC)
-        # a K=7 spec without a tail, so its last input cannot flush
-        untailed = types.SimpleNamespace(
-            constraint_length=7, num_states=64, payload_length=40, frame_stages=40)
-        stuck = types.SimpleNamespace(
-            spec=untailed, num_states=64, symbol_table=good.symbol_table)
+        class Untailed(CodeSpec):  # a K=7 spec without a tail, so its last input cannot flush
+            tail_length = 0
         try:
-            encode_frames([[0] * 39 + [1]], stuck)
+            encode_frames([[0] * 39 + [1]], build_trellis(Untailed(7, DEFAULT_SPEC.generators, 40)))
         except RuntimeError as exc:
             print("tail:", exc)
         """
     )
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", script],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, check=True,
-        timeout=60,
-    ).stdout
+    out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC)}, check=True, timeout=60).stdout
     assert "terminal: path metric bound breached: 999 > 2 * 40 stages" in out
     assert "tail: zero tail left the encoder in state 1" in out
 
@@ -84,6 +77,64 @@ def test_hard_quantize_rejects_non_finite(bad):
 
 _GENS = DEFAULT_SPEC.generators
 _FRAMES = np.zeros((2, 8), dtype=np.uint8)
+_SPEC = CodeSpec.from_octal("7,5", constraint_length=3, frame_stages=8)
+_TRELLIS, _CODED = Trellis(_SPEC), np.zeros((2, 16), np.uint8)
+# one valid call of each public callable, every parameter given, in signature order
+_VALID_CALLS = {
+    "ActivityReport": (_SPEC, TRACEBACK, 1), "BerPoint": ("s", 1.0, 1, 0, 0, 0),
+    "CodeSpec": (3, _SPEC.generators, 8), "MlResult": ((0,), 0, 1), "NoiseConfig": (1.0, 0.5),
+    "PowerCompareResult": (_SPEC, 1), "StreamedFrame": (0, [0], 0), "Trellis": (_SPEC,),
+    "SweepConfig": ((1.0,), 0, 6, 0, 0, _SPEC), "ber_sweep": (SweepConfig((1.0,), 0, 6, 0, 0),),
+    "add_awgn": ([1.0], NoiseConfig(1.0), np.random.default_rng(0)), "bpsk_modulate": ([0],),
+    "build_trellis": (_SPEC,), "decode_frames": (_CODED, _TRELLIS, TRACEBACK),
+    "encode_frames": (_CODED[:, :6], _TRELLIS), "free_distance": (_SPEC, 10),
+    "hard_quantize": ([1.0, -1.0],), "inject_errors": (_CODED, [0]),
+    "ml_decode_frames": (_CODED, _SPEC), "power_compare": (4.0, 1, 0, _SPEC),
+    "stream_decode": ([[0] * 16], _TRELLIS), "theoretical_uncoded_ber": (1.0,),
+}
+_PUBLIC = sorted(name for name in convfec.__all__ if callable(getattr(convfec, name)))
+_OTHER_VALUES = ("x", None, ["x"], {}, 1.5, True)
+# the (callable, parameter) pairs that take any value, by reason
+_UNCHECKED = {tuple(pair.split(".")): reason for reason, pairs in {
+    "a result: the library fills it in": """BerPoint.scheme BerPoint.ebno_db BerPoint.bit_errors
+        BerPoint.frame_errors BerPoint.seed MlResult.best_payload MlResult.best_distance
+        MlResult.num_minimizers StreamedFrame.index StreamedFrame.decoded
+        StreamedFrame.final_metric""",
+    "an array that numpy converts as given":
+        "bpsk_modulate.bits add_awgn.symbols hard_quantize.symbols inject_errors.bits",
+    "a sequence: its items are checked by name; a non-iterable is Python's own TypeError":
+        "CodeSpec.generators SweepConfig.ebno_points inject_errors.positions stream_decode.frames",
+}.items() for pair in pairs.split()}
+
+
+def _unnamed(fn, args: dict, param: str, value) -> str | None:
+    """``None`` when ``fn`` refuses ``value`` for ``param`` by name, else what it did instead."""
+    kind = type(args[param])
+    rule = {int: "an integer", float: "a real number"}.get(kind)
+    if kind.__module__.startswith(("convfec", "numpy.random")):  # spec, trellis, cfg, rng
+        rule = f"a {kind.__name__}"
+    try:
+        fn(**{**args, param: value})
+    except (TypeError, ValueError) as exc:  # any other exception fails the test
+        named = (str(exc).startswith(f"{param} must be {rule}, got ") if rule
+                 else param.rstrip("s") in str(exc))  # as "frame 0" names frames
+        return None if named else f"{type(exc).__name__}: {exc}"
+    return "returned"
+
+
+@pytest.mark.parametrize("name", _PUBLIC)
+def test_public_arguments_refuse_other_values_by_name(name):
+    assert name in _VALID_CALLS and set(_UNCHECKED) <= {  # every listed pair is a parameter
+        (n, p) for n in _PUBLIC for p in inspect.signature(getattr(convfec, n)).parameters}
+    fn = getattr(convfec, name)
+    args = inspect.signature(fn).bind(*_VALID_CALLS[name]).arguments
+    assert list(args) == list(inspect.signature(fn).parameters)
+    fn(**args)
+    for param, valid in args.items():
+        outcomes = [_unnamed(fn, args, param, value) for value in _OTHER_VALUES
+                    if not type(value) is type(valid) is float]  # 1.5 where a real is due
+        listed = (name, param) in _UNCHECKED  # a listed pair now refused by name is stale
+        assert any(outcomes) == listed, (param, listed, outcomes)
 
 
 @pytest.mark.parametrize("build, field", [
@@ -139,7 +190,6 @@ def test_real_fields_refuse_other_values_by_name(build, field):
     pytest.param(lambda: free_distance("171,133", 10), id="dfree"),
     pytest.param(lambda: SweepConfig((1.0,), 0, 34, 0, 0, spec="x"), id="sweep"),
     pytest.param(lambda: power_compare(4.0, 2, 1, spec="x"), id="power"),
-    pytest.param(lambda: PowerCompareResult("x", 1), id="power-result"),
     pytest.param(lambda: ActivityReport(DEFAULT_SPEC.generators, TRACEBACK, 1), id="activity"),
 ])
 def test_spec_fields_refuse_other_values_by_name(build):
@@ -149,8 +199,6 @@ def test_spec_fields_refuse_other_values_by_name(build):
 
 @pytest.mark.parametrize("build", [
     pytest.param(lambda: ActivityReport(DEFAULT_SPEC, ["x"], 1), id="activity"),
-    pytest.param(lambda: decode_frames(np.zeros((1, 80), np.uint8), build_trellis(DEFAULT_SPEC),
-                                       ["x"]), id="decode"),
 ])
 def test_scheme_fields_refuse_other_values_by_name(build):
     # an unhashable scheme once failed in the survivor-memory lookup, naming no field
@@ -180,7 +228,7 @@ def test_ber_csv_writes_each_point_as_a_python_float():
 
 
 def test_integer_fields_take_numpy_integers():
-    spec = CodeSpec(np.int64(7), _GENS, np.uint16(40))
+    spec = CodeSpec(np.int64(7), DEFAULT_SPEC.generators, np.uint16(40))
     assert spec == DEFAULT_SPEC
     assert type(spec.constraint_length) is int and type(spec.frame_stages) is int
     assert type(power_compare(4.0, np.uint32(0), np.uint32(4)).frames) is int
