@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .trellis import _index, _real, _typed, _Value
+from .trellis import _bits, _index, _real, _typed, _Value
 
 
 def ebno_ratio(ebno_db: float) -> float:
@@ -100,10 +100,10 @@ def inject_errors(bits: np.ndarray, positions: Iterable[int]) -> np.ndarray:
     Every frame (row) gets the same flips; returns a new uint8 array.  An
     involution for a fixed position set.
     """
-    out = np.array(bits, dtype=np.uint8)
-    if not out.ndim:
-        raise ValueError(f"bits must be a frame or rows of frames, got shape {out.shape}")
-    width = out.shape[-1]
+    raw = np.asarray(bits)
+    if not raw.ndim:
+        raise ValueError(f"bits must be a frame or rows of frames, got shape {raw.shape}")
+    out, width = np.array(_bits(raw, "bits")), raw.shape[-1]  # a copy: the flips are in place
     flips = sorted({_index(pos, "error position") for pos in positions})
     for pos in flips:
         if not 0 <= pos < width:

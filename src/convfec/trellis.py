@@ -76,6 +76,8 @@ class CodeSpec(_Value):
                 )
             if any(t not in (0, 1) for t in taps):
                 raise ValueError(f"generator {i} taps must be 0/1, got {taps!r}")
+            if not any(taps):  # from_octal refuses octal 0 by its own text
+                raise ValueError(f"generator {i} is all zero")
         # g(D) = sum taps[j] D^j; a common factor other than D^m makes the
         # code catastrophic (Massey and Sain, 1968)
         a, b = (sum(int(t) << j for j, t in enumerate(taps)) for taps in self.generators)
@@ -83,8 +85,6 @@ class CodeSpec(_Value):
             while a.bit_length() >= b.bit_length():
                 a ^= b << (a.bit_length() - b.bit_length())
             a, b = b, a
-        if not a:  # gcd(0, 0) = 0 would pass the power-of-D test below
-            raise ValueError(f"generator pair {self.generators_octal} is all zero")
         if a & (a - 1):
             raise ValueError(f"catastrophic generator pair {self.generators_octal}: "
                              "g1(D) and g2(D) share a factor other than a power of D")
@@ -209,12 +209,17 @@ class Trellis:
 
 def bit_rows(rows, width: int, noun: str) -> np.ndarray:
     """``rows`` as an ``(n, width)`` uint8 array of 0/1 bits, one frame per row; a ``ValueError``
-    names ``noun`` when the shape or a bit is wrong (one ``max`` checks unsigned and bool rows)."""
+    names ``noun`` when the shape or a bit is wrong."""
     raw = np.asarray(rows)
     if raw.ndim != 2 or raw.shape[1] != width:
         raise ValueError(f"{noun} must have shape (n, {width}), got {raw.shape}")
-    bad = raw.max(initial=0) > 1 if raw.dtype.kind in "bu" else np.any((raw != 0) & (raw != 1))
-    if bad:
+    return _bits(raw, noun)
+
+
+def _bits(raw: np.ndarray, noun: str) -> np.ndarray:
+    """``raw`` as uint8 if it holds only 0/1 bits (one ``max`` for unsigned and bool), else a
+    ``ValueError`` naming ``noun``."""
+    if (raw.max(initial=0) > 1 if raw.dtype.kind in "bu" else np.any((raw != 0) & (raw != 1))):
         raise ValueError(f"{noun} must contain only 0/1 bits")
     return raw.astype(np.uint8, copy=False)
 

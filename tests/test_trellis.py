@@ -49,11 +49,12 @@ def test_spec_rejects_bad_parameters(kwargs):
 
 
 def test_spec_rejects_the_all_zero_generator_pair():
-    # gcd(0, 0) = 0 passed as a power of D, and then every frame decoded to zeros
-    with pytest.raises(ValueError, match=r"^generator pair 0,0 is all zero"):
-        CodeSpec(3, ((0, 0, 0), (0, 0, 0)), 5)
-    # one zero generator still makes a (weak) code
-    assert free_distance(CodeSpec(3, ((1, 0, 0), (0, 0, 0)), 5), 4) == 1
+    # gcd(0, 0) = 0 passed as a power of D, and then every frame decoded to zeros; one zero
+    # generator made a code of free distance 1, octal "0,4", which from_octal refuses
+    for generators, which in [(((0, 0, 0), (0, 0, 0)), 0), (((0, 0, 0), (1, 0, 0)), 0),
+                              (((1, 0, 0), (0, 0, 0)), 1)]:
+        with pytest.raises(ValueError, match=rf"^generator {which} is all zero$"):
+            CodeSpec(3, generators, 5)
 
 
 def test_from_octal_rejects_garbage():
@@ -226,11 +227,6 @@ def test_free_distance_published_k9_code():
     spec = CodeSpec.from_octal("561,753", constraint_length=9, frame_stages=20)
     assert free_distance(spec, 16) == 12
     assert free_distance(spec, 11) is None
-
-
-def test_build_trellis_requires_spec():
-    with pytest.raises(TypeError):
-        build_trellis("171,133")
 
 
 @pytest.mark.parametrize("dtype, value", [(np.uint8, 2), (np.uint8, 255), (np.uint16, 256)])
