@@ -16,8 +16,14 @@ import pytest
 import convfec
 from convfec.channel import NoiseConfig, hard_quantize, inject_errors
 from convfec.decoder import TRACEBACK, ActivityReport
-from convfec.harness import SweepConfig, ber_sweep, format_ber_csv, power_compare
-from convfec.trellis import DEFAULT_SPEC, CodeSpec, Trellis, free_distance
+from convfec.harness import (
+    SweepConfig,
+    ber_sweep,
+    format_ber_csv,
+    power_compare,
+    theoretical_uncoded_ber,
+)
+from convfec.trellis import DEFAULT_SPEC, CodeSpec, Trellis, build_trellis, free_distance
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -69,6 +75,7 @@ def test_hard_quantize_rejects_non_finite(bad):
         hard_quantize(np.array([0.5, bad, -0.5]))
 
 
+_GENS = DEFAULT_SPEC.generators
 _FRAMES = np.zeros((2, 8), dtype=np.uint8)
 _SPEC = CodeSpec.from_octal("7,5", constraint_length=3, frame_stages=8)
 _TRELLIS, _CODED = Trellis(_SPEC), np.zeros((2, 16), np.uint8)
@@ -130,24 +137,72 @@ def test_public_arguments_refuse_other_values_by_name(name):
         assert any(outcomes) == listed, (param, listed, outcomes)
 
 
-# the refusals the table cannot reach: from_octal is not in convfec.__all__, and the items
-# of a sequence are not parameters
-@pytest.mark.parametrize("build, text", [
-    pytest.param(lambda: CodeSpec.from_octal("7,5", constraint_length=3.0),
-                 "constraint_length must be an integer", id="octal-k-float"),
-    pytest.param(lambda: CodeSpec.from_octal("7,5", constraint_length=True),
-                 "constraint_length must be an integer", id="octal-k-bool"),
-    pytest.param(lambda: inject_errors(_FRAMES, [1.5]), "error position must be an integer",
-                 id="position-float"),
-    pytest.param(lambda: inject_errors(_FRAMES, [True]), "error position must be an integer",
-                 id="position-bool"),
-    pytest.param(lambda: SweepConfig(("1",), 0, 100, 0, 0), "ebno_points must be a real number",
-                 id="sweep-point-str"),
-    pytest.param(lambda: SweepConfig((True,), 0, 100, 0, 0), "ebno_points must be a real number",
-                 id="sweep-point-bool"),
+@pytest.mark.parametrize("build, field", [
+    pytest.param(lambda: power_compare(4.0, True, 0), "frames", id="power-frames-bool"),
+    pytest.param(lambda: SweepConfig((1.0,), 0, 100, 0, seed=1.5), "seed", id="sweep-seed-float"),
+    pytest.param(lambda: SweepConfig((1.0,), 0, 100, 0, seed=True), "seed", id="sweep-seed-bool"),
+    pytest.param(lambda: SweepConfig((1.0,), 1.5, 100.5, 0, 1), "min_info_bits",
+                 id="sweep-budgets-float"),
+    pytest.param(lambda: SweepConfig((1.0,), 0, 100.5, 0, 1), "max_info_bits",
+                 id="sweep-max-float"),
+    pytest.param(lambda: SweepConfig((1.0,), 0, 100, 1.5, 1), "stop_at_errors",
+                 id="sweep-stop-float"),
+    pytest.param(lambda: CodeSpec(7, _GENS, 40.0), "frame_stages", id="spec-stages-float"),
+    pytest.param(lambda: CodeSpec(7, _GENS, True), "frame_stages", id="spec-stages-bool"),
+    pytest.param(lambda: CodeSpec(7.0, _GENS, 40), "constraint_length", id="spec-k-float"),
+    pytest.param(lambda: CodeSpec.from_octal("7,5", constraint_length=3.0), "constraint_length",
+                 id="octal-k-float"),
+    pytest.param(lambda: CodeSpec.from_octal("7,5", constraint_length=True), "constraint_length",
+                 id="octal-k-bool"),
+    pytest.param(lambda: free_distance(DEFAULT_SPEC, 12.5), "weight_cap", id="dfree-cap-float"),
+    pytest.param(lambda: free_distance(DEFAULT_SPEC, True), "weight_cap", id="dfree-cap-bool"),
+    pytest.param(lambda: ActivityReport(DEFAULT_SPEC, TRACEBACK, 1.5), "frames",
+                 id="activity-frames-float"),
+    pytest.param(lambda: ActivityReport(DEFAULT_SPEC, TRACEBACK, True), "frames",
+                 id="activity-frames-bool"),
+    pytest.param(lambda: inject_errors(_FRAMES, [1.5]), "error position", id="position-float"),
+    pytest.param(lambda: inject_errors(_FRAMES, [True]), "error position", id="position-bool"),
 ])
-def test_sequence_items_and_from_octal_refuse_by_name(build, text):
-    with pytest.raises(TypeError, match=rf"^{text}, got "):
+def test_integer_fields_refuse_other_values_by_name(build, field):
+    with pytest.raises(TypeError, match=rf"^{field} must be an integer, got "):
+        build()
+
+
+@pytest.mark.parametrize("build, field", [
+    pytest.param(lambda: NoiseConfig("3"), "ebno_db", id="noise-ebno-str"),
+    pytest.param(lambda: NoiseConfig(True), "ebno_db", id="noise-ebno-bool"),
+    pytest.param(lambda: NoiseConfig(4.0, code_rate="0.5"), "code_rate", id="noise-rate-str"),
+    pytest.param(lambda: NoiseConfig(4.0, code_rate=True), "code_rate", id="noise-rate-bool"),
+    pytest.param(lambda: SweepConfig(("1",), 0, 100, 0, 0), "ebno_points", id="sweep-point-str"),
+    pytest.param(lambda: power_compare("4", 0, 0), "ebno_db", id="power-ebno-str"),
+    pytest.param(lambda: SweepConfig((True,), 0, 100, 0, 0), "ebno_points",
+                 id="sweep-point-bool"),
+    pytest.param(lambda: theoretical_uncoded_ber("3"), "ebno_db", id="theory-ebno-str"),
+    pytest.param(lambda: theoretical_uncoded_ber(True), "ebno_db", id="theory-ebno-bool"),
+])
+def test_real_fields_refuse_other_values_by_name(build, field):
+    with pytest.raises(TypeError, match=rf"^{field} must be a real number, got "):
+        build()
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: build_trellis("171,133"), id="trellis"),
+    pytest.param(lambda: free_distance("171,133", 10), id="dfree"),
+    pytest.param(lambda: SweepConfig((1.0,), 0, 34, 0, 0, spec="x"), id="sweep"),
+    pytest.param(lambda: power_compare(4.0, 2, 1, spec="x"), id="power"),
+    pytest.param(lambda: ActivityReport(DEFAULT_SPEC.generators, TRACEBACK, 1), id="activity"),
+])
+def test_spec_fields_refuse_other_values_by_name(build):
+    with pytest.raises(TypeError, match=r"^spec must be a CodeSpec, got "):
+        build()
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: ActivityReport(DEFAULT_SPEC, ["x"], 1), id="activity"),
+])
+def test_scheme_fields_refuse_other_values_by_name(build):
+    # an unhashable scheme once failed in the survivor-memory lookup, naming no field
+    with pytest.raises(TypeError, match=r"^scheme must be a string, got \['x'\]$"):
         build()
 
 

@@ -229,6 +229,11 @@ def test_free_distance_published_k9_code():
     assert free_distance(spec, 11) is None
 
 
+def test_build_trellis_requires_spec():
+    with pytest.raises(TypeError):
+        build_trellis("171,133")
+
+
 @pytest.mark.parametrize("dtype, value", [(np.uint8, 2), (np.uint8, 255), (np.uint16, 256)])
 def test_bit_rows_rejects_unsigned_values_above_one(dtype, value):
     rows = np.zeros((3, 4), dtype=dtype)
