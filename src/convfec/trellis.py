@@ -111,6 +111,8 @@ class CodeSpec(_Value):
         frame_stages: int = 40,
     ) -> "CodeSpec":
         """Build a spec from comma-separated octal generators, e.g. ``"171,133"``."""
+        if not isinstance(generators, str):
+            raise TypeError(f"generators must be a string, got {generators!r}")
         constraint_length = _index(constraint_length, "constraint_length")
         parts = [p.strip() for p in generators.split(",")]
         if len(parts) != 2:
@@ -218,8 +220,9 @@ def bit_rows(rows, width: int, noun: str) -> np.ndarray:
 
 def _bits(raw: np.ndarray, noun: str) -> np.ndarray:
     """``raw`` as uint8 if it holds only 0/1 bits (one ``max`` for unsigned and bool), else a
-    ``ValueError`` naming ``noun``."""
-    if (raw.max(initial=0) > 1 if raw.dtype.kind in "bu" else np.any((raw != 0) & (raw != 1))):
+    ``ValueError`` naming ``noun``; a complex array is refused whatever its values."""
+    if (raw.max(initial=0) > 1 if raw.dtype.kind in "bu"
+            else raw.dtype.kind == "c" or np.any((raw != 0) & (raw != 1))):
         raise ValueError(f"{noun} must contain only 0/1 bits")
     return raw.astype(np.uint8, copy=False)
 

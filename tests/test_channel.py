@@ -175,7 +175,8 @@ def test_inject_flips_every_row_of_a_2d_array():
     assert np.array_equal(frames, before)  # the input is not modified
 
 
-@pytest.mark.parametrize("bits", [[2, 3], [300], ["x"], [[0, 1], [0.5, 1]], [np.nan]], ids=str)
+@pytest.mark.parametrize("bits", [[2, 3], [300], ["x"], [[0, 1], [0.5, 1]], [np.nan],
+                                  np.array([1 + 0j, 0])], ids=str)
 def test_inject_rejects_values_other_than_bits(bits):
     with pytest.raises(ValueError, match=r"^bits must contain only 0/1 bits$"):
         inject_errors(bits, [0])

@@ -176,6 +176,8 @@ def test_decode_rejects_bad_frames(default_trellis):
         decode_frames([[0] * 79 + [256]], default_trellis)
     with pytest.raises(ValueError, match="0/1"):
         decode_frames([[0.5] * 80], default_trellis)
+    with pytest.raises(ValueError, match="0/1"):  # not cast with only a ComplexWarning
+        decode_frames(np.zeros((1, 80), complex), default_trellis)
     # the message names the shape: a 1-D frame has 80 bits but the wrong shape
     with pytest.raises(ValueError, match=r"must have shape \(n, 80\), got \(80,\)$"):
         decode_frames(np.zeros(80), default_trellis)
