@@ -445,7 +445,7 @@ def _help(command: str | None) -> str:
         ("  " + ", ".join(f if row[2] is None else f"{f} {row[2]}" for f in row[0]), row[4])
         for row in _rows(command)]}
     if command is None:
-        text += f"\n{textwrap.fill(_DESCRIPTION, width)}\n"
+        text += f"\n{textwrap.fill(_DESCRIPTION, max(width, 11))}\n"
         sections = {"positional arguments:": [("  command", ""), *(
             (f"    {name}", entry[0]) for name, entry in _COMMANDS.items())], **sections}
     column = min(max(len(head) for items in sections.values() for head, _ in items) + 2,

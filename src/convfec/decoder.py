@@ -219,6 +219,8 @@ def stream_decode(frames: Sequence[Sequence[int]], trellis: Trellis) -> list[Str
     stages = _typed(trellis, Trellis, "trellis").spec.frame_stages
     frame_list = list(frames)
     for i, frame in enumerate(frame_list):
+        if not np.iterable(frame):
+            raise TypeError(f"frame {i} must be a sequence of coded bits, got {frame!r}")
         if len(frame) != 2 * stages:
             if i == len(frame_list) - 1 and len(frame) < 2 * stages:
                 raise ValueError(f"frame {i}: truncated final frame "

@@ -62,14 +62,13 @@ class CodeSpec(_Value):
                  generators: tuple[tuple[int, ...], tuple[int, ...]], frame_stages: int) -> None:
         k = _index(constraint_length, "constraint_length")
         stages = _index(frame_stages, "frame_stages")
-        self._set(constraint_length=k, generators=generators, frame_stages=stages)
         if k < 2:
             raise ValueError(f"constraint length must be an integer >= 2, got {k!r}")
         if k > 16:  # the trellis tables hold 2^K entries; the encoder's registers fit uint16
             raise ValueError(f"constraint length must be at most 16, got {k}")
-        if len(self.generators) != 2:
+        if len(generators) != 2:
             raise ValueError("rate-1/2 code needs exactly two generators")
-        for i, taps in enumerate(self.generators):
+        for i, taps in enumerate(generators):
             if len(taps) != k:
                 raise ValueError(
                     f"generator {i} has {len(taps)} taps, constraint length {k} requires {k}"
@@ -78,9 +77,11 @@ class CodeSpec(_Value):
                 raise ValueError(f"generator {i} taps must be 0/1, got {taps!r}")
             if not any(taps):  # from_octal refuses octal 0 by its own text
                 raise ValueError(f"generator {i} is all zero")
+        generators = tuple(tuple(int(t) for t in taps) for taps in generators)  # hashable, fixed
+        self._set(constraint_length=k, generators=generators, frame_stages=stages)
         # g(D) = sum taps[j] D^j; a common factor other than D^m makes the
         # code catastrophic (Massey and Sain, 1968)
-        a, b = (sum(int(t) << j for j, t in enumerate(taps)) for taps in self.generators)
+        a, b = (sum(t << j for j, t in enumerate(taps)) for taps in generators)
         while b:  # Euclid over GF(2): reduce a modulo b, then swap
             while a.bit_length() >= b.bit_length():
                 a ^= b << (a.bit_length() - b.bit_length())
@@ -220,9 +221,9 @@ def bit_rows(rows, width: int, noun: str) -> np.ndarray:
 
 def _bits(raw: np.ndarray, noun: str) -> np.ndarray:
     """``raw`` as uint8 if it holds only 0/1 bits (one ``max`` for unsigned and bool), else a
-    ``ValueError`` naming ``noun``; a complex array is refused whatever its values."""
+    ``ValueError`` naming ``noun``; a complex or void array is refused whatever its values."""
     if (raw.max(initial=0) > 1 if raw.dtype.kind in "bu"
-            else raw.dtype.kind == "c" or np.any((raw != 0) & (raw != 1))):
+            else raw.dtype.kind in "cV" or np.any((raw != 0) & (raw != 1))):
         raise ValueError(f"{noun} must contain only 0/1 bits")
     return raw.astype(np.uint8, copy=False)
 

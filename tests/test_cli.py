@@ -881,6 +881,12 @@ def test_top_level_help_lists_every_command(capsys, monkeypatch):
     assert listed == list(_COMMAND_HELP.items())
 
 
+@pytest.mark.parametrize("columns", ["1", "2"])
+def test_top_level_help_wraps_on_a_terminal_of_one_or_two_columns(capsys, monkeypatch, columns):
+    monkeypatch.setenv("COLUMNS", columns)  # the description wraps at 11, argparse's floor
+    assert run(["--help"]) == 0 and capsys.readouterr().out.startswith("usage: convfec")
+
+
 @pytest.mark.parametrize("command", list(_COMMAND_OPTIONS))
 def test_command_help_names_every_option(capsys, monkeypatch, command):
     monkeypatch.setenv("COLUMNS", "80")

@@ -166,25 +166,6 @@ def test_decode_k3_frame(k3_trellis):
     assert metrics.tolist() == [0]
 
 
-def test_decode_rejects_bad_frames(default_trellis):
-    with pytest.raises(ValueError, match=r"\(n, 80\)"):
-        decode_frames([[0] * 79], default_trellis)
-    with pytest.raises(ValueError, match="0/1"):
-        decode_frames([[0] * 79 + [3]], default_trellis)
-    # values that an unchecked uint8 cast would silently wrap or truncate
-    with pytest.raises(ValueError, match="0/1"):
-        decode_frames([[0] * 79 + [256]], default_trellis)
-    with pytest.raises(ValueError, match="0/1"):
-        decode_frames([[0.5] * 80], default_trellis)
-    with pytest.raises(ValueError, match="0/1"):  # not cast with only a ComplexWarning
-        decode_frames(np.zeros((1, 80), complex), default_trellis)
-    # the message names the shape: a 1-D frame has 80 bits but the wrong shape
-    with pytest.raises(ValueError, match=r"must have shape \(n, 80\), got \(80,\)$"):
-        decode_frames(np.zeros(80), default_trellis)
-    with pytest.raises(ValueError, match=r"must have shape \(n, 80\), got \(1, 81\)$"):
-        decode_frames([[0] * 81], default_trellis)
-
-
 def test_final_metric_is_distance_to_reencoded_decision(default_trellis):
     _, received = _noisy_frames(default_trellis, 60, ebno_db=2.0, seed=4)
     decoded, metrics = decode_frames(received, default_trellis)
@@ -249,11 +230,6 @@ def test_activity_closed_forms(spec, scheme, frames, want):
     assert (report.survivor_bit_writes, report.metric_writes, report.traceback_reads) == want
 
 
-def test_batch_decode_rejects_bad_shape(default_trellis):
-    with pytest.raises(ValueError):
-        decode_frames(np.zeros((3, 79), dtype=np.uint8), default_trellis)
-
-
 def test_stream_decode_single_frame(default_trellis):
     coded = encode_frames(np.ones((1, 34)), default_trellis)
     out = stream_decode(coded.tolist(), default_trellis)
@@ -298,6 +274,13 @@ def test_stream_decode_bad_interior_frame(default_trellis):
     good = encode_frames(np.zeros((1, 34)), default_trellis)[0].tolist()
     with pytest.raises(ValueError, match="frame 0: expected 80"):
         stream_decode([good[:13], good], default_trellis)
+
+
+@pytest.mark.parametrize("frames, got", [([0] * 80, "0"), (np.zeros(80, np.uint8), "np.uint8(0)")])
+def test_stream_decode_names_a_frame_that_is_not_a_sequence(default_trellis, frames, got):
+    with pytest.raises(TypeError) as caught:
+        stream_decode(frames, default_trellis)
+    assert str(caught.value) == f"frame 0 must be a sequence of coded bits, got {got}"
 
 
 def test_seven_error_pattern_corrected(default_trellis):

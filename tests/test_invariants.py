@@ -70,7 +70,6 @@ def test_hard_quantize_rejects_non_finite(bad):
         hard_quantize(np.array([0.5, bad, -0.5]))
 
 
-_FRAMES = np.zeros((2, 8), dtype=np.uint8)
 _SPEC = CodeSpec.from_octal("7,5", constraint_length=3, frame_stages=8)
 _TRELLIS, _CODED = Trellis(_SPEC), np.zeros((2, 16), np.uint8)
 # one valid call of each public callable and classmethod, every parameter given, in order
@@ -100,8 +99,8 @@ _UNCHECKED = {tuple(pair.rsplit(".", 1)): reason for reason, pairs in {
         StreamedFrame.final_metric""",
     "an array that numpy converts as given":
         "bpsk_modulate.bits add_awgn.symbols hard_quantize.symbols",
-    "a sequence: its items are checked by name; a non-iterable is Python's own TypeError":
-        "CodeSpec.generators SweepConfig.ebno_points inject_errors.positions stream_decode.frames",
+    "a sequence of sequences, each checked by length; a non-iterable is Python's TypeError":
+        "CodeSpec.generators stream_decode.frames",
 }.items() for pair in pairs.split()}
 
 
@@ -109,63 +108,92 @@ def _args(name: str) -> dict:
     return dict(zip(inspect.signature(_FNS[name]).parameters, _VALID_CALLS[name]))
 
 
-def _others(valid) -> list:
-    """The values of other kinds to pass where ``valid`` goes: 1.5 is a real, "x" a string."""
-    return [value for value in ("x", None, ["x"], {}, 1.5, True)
-            if not type(value) is type(valid) in (float, str)]
+# the noun for a frame array or a checked sequence's items where it is not the parameter's
+# name, and a value that is not a 0/1 bit by case id (complex and void arrays hold no bits)
+_NOUNS = {"coded": "coded frames", "received": "received words", "positions": "error position"}
+_NOT_BITS = {"int-2": 2, "int-3": 3, "int-256": 256, "int-300": 300, "uint8-2": np.uint8(2),
+             "uint8-255": np.uint8(255), "uint16-256": np.uint16(256), "float-0.5": 0.5,
+             "float-nan": np.nan, "str-x": "x", "complex-1": 1 + 0j, "void": np.void(b"\0")}
 
 
-def _unnamed(name: str, param: str, value) -> str | None:
-    """``None`` when ``name`` refuses ``value`` for ``param`` by name, else what it did instead."""
-    args = _args(name)
-    kind = type(args[param])
+def _others(valid, param: str = "") -> dict:
+    """The values of other kinds to pass where ``valid`` goes, by case id: 1.5 is a real, "x" a
+    string; a sequence gets one-item sequences of its first item's others, and a frame array
+    rows of a wrong shape (``bits`` have any width) or with a last bit from ``_NOT_BITS``."""
+    if isinstance(valid, (list, tuple)):
+        return {f"item-{label}": [value] for label, value in _others(valid[0]).items()}
+    others = {str(value): value for value in ("x", None, ["x"], {}, 1.5, True)
+              if not type(value) is type(valid) in (float, str)}
+    if isinstance(valid, np.ndarray):
+        if param != "bits":
+            others.update(narrow=valid[:, 1:], wide=np.hstack([valid, valid[:, :1]]),
+                          flat=valid[0], column=valid[0, :, None])
+        others.update({label: np.append(np.zeros(valid.size - 1, np.asarray(bit).dtype), bit)
+                       .reshape(valid.shape) for label, bit in _NOT_BITS.items()})
+    return others
+
+
+def _refusal(valid, noun: str, value) -> str | None:
+    """The exception and text owed to ``value`` where ``valid`` goes, naming ``noun``, or
+    ``None`` where no rule covers its kind."""
+    kind = type(valid)
+    if kind in (list, tuple):  # a sequence of one item: the item's refusal
+        return _refusal(valid[0], noun, value[0])
+    if kind is np.ndarray:  # a frame array: its shape first, then its bits
+        shape, width = np.shape(value), valid.shape[1]
+        wrong = (shape == () and f"must be a frame or rows of frames, got shape {shape}"
+                 if noun == "bits" else  # one frame or rows of frames, of any width
+                 shape[1:] != (width,) and f"must have shape (n, {width}), got {shape}")
+        return f"ValueError: {noun} {wrong or 'must contain only 0/1 bits'}"
     rule = {int: "an integer", float: "a real number", str: "a string"}.get(kind)
     if kind.__module__.startswith(("convfec", "numpy.random")):  # spec, trellis, cfg, rng
         rule = f"a {kind.__name__}"
+    return rule and f"TypeError: {noun} must be {rule}, got {value!r}"
+
+
+def _unnamed(name: str, param: str, value) -> str | None:
+    """``None`` when ``name`` refuses ``value`` for ``param`` as it is owed, else what it did."""
+    args = _args(name)
     try:
         _FNS[name](**{**args, param: value})
     except (TypeError, ValueError) as exc:  # any other exception fails the test
-        named = (type(exc) is TypeError and str(exc) == f"{param} must be {rule}, got {value!r}"
-                 if rule else param.rstrip("s") in str(exc))  # as "frame 0" names frames
-        return None if named else f"{type(exc).__name__}: {exc}"
+        did = f"{type(exc).__name__}: {exc}"
+        return None if did == _refusal(args[param], _NOUNS.get(param, param), value) else did
     return "returned"
 
 
 # a case per callable, named as the callable, and a case per (callable, parameter, value)
-@pytest.mark.parametrize("name, param, value", [pytest.param(name, None, None, id=name)
-                                                for name in _PUBLIC] + [
-    pytest.param(name, param, value, id=f"{name}-{param}-{value}")
+_CASES = [pytest.param(name, None, None, id=name) for name in _PUBLIC] + [
+    pytest.param(name, param, value, id=f"{name}-{param}-{label}")
     for name in _VALID_CALLS for param, valid in _args(name).items()
-    if (name, param) not in _UNCHECKED for value in _others(valid)])
+    if (name, param) not in _UNCHECKED for label, value in _others(valid, param).items()]
+
+
+@pytest.mark.parametrize("name, param, value", _CASES)
 def test_public_arguments_refuse_other_values_by_name(name, param, value):
     if param is not None:
         assert _unnamed(name, param, value) is None
         return
-    # the callable's own case: its valid call binds every parameter and runs, and each of its
-    # listed pairs still takes a value without a named refusal, or the listing is stale
+    # the callable's own case: the ids are unique (pytest suffixes a repeat silently), its valid
+    # call binds every parameter and runs, and each listed pair takes some value unowed, or the
+    # listing is stale
     assert sorted(_VALID_CALLS) == _PUBLIC and {n for n, _ in _UNCHECKED} <= set(_PUBLIC)
+    assert len({case.id for case in _CASES}) == len(_CASES)
     fn = _FNS[name]
     args = inspect.signature(fn).bind(*_VALID_CALLS[name]).arguments
     assert list(args) == list(inspect.signature(fn).parameters)
     fn(**args)
     listed = [p for n, p in _UNCHECKED if n == name]
     assert set(listed) <= set(args) and all(
-        any(_unnamed(name, p, value) for value in _others(args[p])) for p in listed), listed
+        any(_unnamed(name, p, value) for value in _others(args[p], p).values())
+        for p in listed), listed
 
 
-@pytest.mark.parametrize("build, text", [
-    (lambda: inject_errors(_FRAMES, [1.5]), "error position must be an integer, got 1.5"),
-    (lambda: inject_errors(_FRAMES, [True]), "error position must be an integer, got True"),
-    (lambda: SweepConfig(("1",), 0, 100, 0, 0), "ebno_points must be a real number, got '1'"),
-    (lambda: SweepConfig((True,), 0, 100, 0, 0), "ebno_points must be a real number, got True"),
-    (lambda: SweepConfig((1.0,), 1.5, 100.5, 0, 1), "min_info_bits must be an integer, got 1.5"),
-], ids=["position-float", "position-bool", "sweep-point-str", "sweep-point-bool",
-        "sweep-budgets-float"])
-def test_sequence_items_and_the_first_bad_field_are_refused_by_name(build, text):
-    # the table passes one bad value to one parameter: not to an item, nor two at once
-    with pytest.raises(TypeError) as caught:
-        build()
-    assert str(caught.value) == text
+@pytest.mark.parametrize("case", ["sweep-budgets-float"])
+def test_sequence_items_and_the_first_bad_field_are_refused_by_name(case):
+    # the table passes one bad value to one parameter, not two at once
+    with pytest.raises(TypeError, match=r"^min_info_bits must be an integer, got 1\.5$"):
+        SweepConfig((1.0,), 1.5, 100.5, 0, 1)
 
 
 def test_real_fields_take_numpy_scalars_unconverted():
@@ -194,7 +222,7 @@ def test_integer_fields_take_numpy_integers():
     assert spec == DEFAULT_SPEC
     assert type(spec.constraint_length) is int and type(spec.frame_stages) is int
     assert type(power_compare(4.0, np.uint32(0), np.uint32(4)).frames) is int
-    assert inject_errors(_FRAMES, [np.int64(7)])[:, 7].tolist() == [1, 1]
+    assert inject_errors(_CODED, [np.int64(7)])[:, 7].tolist() == [1, 1]
     assert CodeSpec.from_octal("171,133", constraint_length=np.uint8(7)) == DEFAULT_SPEC
     assert free_distance(DEFAULT_SPEC, np.int64(10)) == 10
     activity = ActivityReport(DEFAULT_SPEC, TRACEBACK, np.uint16(3))

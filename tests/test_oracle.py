@@ -62,15 +62,6 @@ def test_the_guard_admits_exactly_its_payload_bits():
     assert ml_decode_frames(np.zeros((0, 52), np.uint8), spec) == []
 
 
-def test_received_word_validation(k3_spec):
-    with pytest.raises(ValueError, match=r"\(n, 10\)"):
-        ml_decode_frames([[0] * 9], k3_spec)
-    with pytest.raises(ValueError, match="0/1"):
-        ml_decode_frames([[0] * 9 + [2]], k3_spec)
-    with pytest.raises(ValueError, match=r"\(n, 16\), got \(16,\)"):
-        ml_decode_frames(np.zeros(16), CodeSpec.from_octal("7,5", 3, 8))
-
-
 def test_matches_literal_enumeration_on_random_words(k3_spec):
     rng = np.random.default_rng(23)
     words = [list(rng.integers(0, 2, size=10)) for _ in range(60)]

@@ -57,6 +57,14 @@ def test_spec_rejects_the_all_zero_generator_pair():
             CodeSpec(3, generators, 5)
 
 
+def test_spec_stores_its_generators_as_int_tuples():
+    taps = [[1, 1, 1], [1.0, 0, 1]]  # lists, and a float tap
+    listed, tupled = CodeSpec(3, taps, 8), CodeSpec(3, ((1, 1, 1), (1, 0, 1)), 8)
+    taps[0][0] = 0  # the lists are not the spec's: the spec stays 7,5
+    assert listed == tupled and hash(listed) == hash(tupled) and repr(listed) == repr(tupled)
+    assert np.array_equal(build_trellis(listed).symbol_table, build_trellis(tupled).symbol_table)
+
+
 def test_from_octal_rejects_garbage():
     with pytest.raises(ValueError):
         CodeSpec.from_octal("171", constraint_length=7, frame_stages=40)
@@ -227,14 +235,6 @@ def test_free_distance_published_k9_code():
     spec = CodeSpec.from_octal("561,753", constraint_length=9, frame_stages=20)
     assert free_distance(spec, 16) == 12
     assert free_distance(spec, 11) is None
-
-
-@pytest.mark.parametrize("dtype, value", [(np.uint8, 2), (np.uint8, 255), (np.uint16, 256)])
-def test_bit_rows_rejects_unsigned_values_above_one(dtype, value):
-    rows = np.zeros((3, 4), dtype=dtype)
-    rows[2, 3] = value
-    with pytest.raises(ValueError, match=r"^coded frames must contain only 0/1 bits$"):
-        bit_rows(rows, 4, "coded frames")
 
 
 def test_bit_rows_accepts_bool_rows_and_no_unsigned_rows():
