@@ -18,26 +18,22 @@ def encode_frames(payloads: np.ndarray, trellis: Trellis) -> np.ndarray:
     Returns the coded frames as a ``(n, 2 * frame_stages)`` uint8 array, the
     K-1 zero tail included.  Bit order per stage: first generator's bit, then
     the second generator's.
-    Every stage's K-bit register is built at once by ORing in K windows of the
-    inputs times their weights ``2^j`` (numpy's uint ``*`` beats its ``<<``), and
-    one gather from a bit-pair table gives every coded bit.
+    Each generator's bits are a GF(2) convolution: the XOR of the input windows
+    that its taps select, ``taps[j]`` weighting the input ``j`` stages back.
     """
     spec = _typed(trellis, Trellis, "trellis").spec
     bits = bit_rows(payloads, spec.payload_length, "payloads")
     n, k, stages = bits.shape[0], spec.constraint_length, spec.frame_stages
-    dtype = np.min_scalar_type(2 * trellis.num_states - 1)  # uint8 while 2S <= 256
     # inputs in time order after K-1 reset zeros, the zero tail included
-    inputs = np.zeros((n, k - 1 + stages), dtype=dtype)
+    inputs = np.zeros((n, k - 1 + stages), dtype=np.uint8)
     inputs[:, k - 1 : k - 1 + spec.payload_length] = bits
-    reg = np.zeros((n, stages), dtype=dtype)  # reg[:, t] = 2 * state + input at stage t
-    for j in range(k):  # bit j of a register is the input j stages back
-        reg |= inputs[:, k - 1 - j : k - 1 - j + stages] * (1 << j)
-    state = reg[:, -1] % trellis.num_states
-    stuck = np.flatnonzero(state)
-    if stuck.size:
-        raise RuntimeError(
-            f"zero tail left the encoder in state {int(state[stuck[0]])}, not 0"
-        )
+    tail = inputs[:, stages:]  # the last K-1 inputs are the end state, newest last
+    if tail.any():
+        state = int("".join(map(str, tail[tail.any(axis=1)][0])), 2)
+        raise RuntimeError(f"zero tail left the encoder in state {state}, not 0")
 
-    table = trellis.symbol_table
-    return np.stack([table >> 1, table & 1], axis=1).take(reg, axis=0).reshape(n, 2 * stages)
+    planes = [np.zeros((n, stages), dtype=np.uint8) for _ in spec.generators]
+    for plane, taps in zip(planes, spec.generators):
+        for j in np.flatnonzero(taps):
+            plane ^= inputs[:, k - 1 - j : k - 1 - j + stages]
+    return np.stack(planes, axis=2).reshape(n, 2 * stages)

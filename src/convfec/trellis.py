@@ -64,7 +64,7 @@ class CodeSpec(_Value):
         stages = _index(frame_stages, "frame_stages")
         if k < 2:
             raise ValueError(f"constraint length must be an integer >= 2, got {k!r}")
-        if k > 16:  # the trellis tables hold 2^K entries; the encoder's registers fit uint16
+        if k > 16:  # the trellis tables hold 2^K entries
             raise ValueError(f"constraint length must be at most 16, got {k}")
         if len(generators) != 2:
             raise ValueError("rate-1/2 code needs exactly two generators")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,11 +78,11 @@ def test_batch_matches_scalar(default_trellis):
 
 
 @pytest.mark.parametrize("octal, k", [
-    ("247,371", 8),  # 2S = 256: the last uint8 register, bit 7 weighs 128
-    ("561,753", 9),  # the first uint16 register
-    ("104157,126235", 16),  # bit 15 weighs 2^15
+    ("247,371", 8),  # 128 states, twice the default code's
+    ("561,753", 9),  # 256 states
+    ("104157,126235", 16),  # the longest code CodeSpec takes: taps reach 15 stages back
 ], ids=["k8", "k9", "k16"])
-def test_register_dtype_boundaries_match_reference(octal, k):
+def test_long_codes_match_reference(octal, k):
     spec = CodeSpec.from_octal(octal, constraint_length=k, frame_stages=3 * k)
     trellis = build_trellis(spec)
     rng = np.random.default_rng(k)
@@ -90,3 +91,14 @@ def test_register_dtype_boundaries_match_reference(octal, k):
         coded = encode_frames(payloads, trellis).tolist()
         for payload, row in zip(payloads.tolist(), coded):
             assert row == reference_encode(payload, spec)
+
+
+def test_encode_peaks_below_three_times_its_output(default_trellis):
+    payloads = np.random.default_rng(5).integers(0, 2, (20_000, 34), dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        coded = encode_frames(payloads, default_trellis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * coded.nbytes, f"{peak / coded.nbytes:.2f}x the output"

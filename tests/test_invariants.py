@@ -100,7 +100,7 @@ _UNCHECKED = {tuple(pair.rsplit(".", 1)): reason for reason, pairs in {
     "an array that numpy converts as given":
         "bpsk_modulate.bits add_awgn.symbols hard_quantize.symbols",
     "a sequence of sequences, each checked by length; a non-iterable is Python's TypeError":
-        "CodeSpec.generators stream_decode.frames",
+        "CodeSpec.generators stream_decode.frames",  # an item given as text is still a case
 }.items() for pair in pairs.split()}
 
 
@@ -114,14 +114,24 @@ _NOUNS = {"coded": "coded frames", "received": "received words", "positions": "e
 _NOT_BITS = {"int-2": 2, "int-3": 3, "int-256": 256, "int-300": 300, "uint8-2": np.uint8(2),
              "uint8-255": np.uint8(255), "uint16-256": np.uint16(256), "float-0.5": 0.5,
              "float-nan": np.nan, "str-x": "x", "complex-1": 1 + 0j, "void": np.void(b"\0")}
+# a sequence of sequences' first item given as text of its length, by case id, and the refusal
+# that each such parameter owes it
+_TEXT_ITEMS = {"item-str": "0", "item-bytes": b"0"}
+_TEXT_REFUSALS = {"frames": "TypeError: frame 0 must be a sequence of coded bits, got {!r}",
+                  "generators": "ValueError: generator 0 taps must be 0/1, got {!r}"}
 
 
 def _others(valid, param: str = "") -> dict:
     """The values of other kinds to pass where ``valid`` goes, by case id: 1.5 is a real, "x" a
     string; a sequence gets one-item sequences of its first item's others, and a frame array
-    rows of a wrong shape (``bits`` have any width) or with a last bit from ``_NOT_BITS``."""
+    rows of a wrong shape (``bits`` have any width) or with a last bit from ``_NOT_BITS``; a
+    sequence of sequences also gets its first item as text from ``_TEXT_ITEMS``."""
     if isinstance(valid, (list, tuple)):
-        return {f"item-{label}": [value] for label, value in _others(valid[0]).items()}
+        others = {f"item-{label}": [value] for label, value in _others(valid[0]).items()}
+        if isinstance(valid[0], (list, tuple)):
+            others.update({label: [unit * len(valid[0]), *valid[1:]]
+                           for label, unit in _TEXT_ITEMS.items()})
+        return others
     others = {str(value): value for value in ("x", None, ["x"], {}, 1.5, True)
               if not type(value) is type(valid) in (float, str)}
     if isinstance(valid, np.ndarray):
@@ -138,6 +148,8 @@ def _refusal(valid, noun: str, value) -> str | None:
     ``None`` where no rule covers its kind."""
     kind = type(valid)
     if kind in (list, tuple):  # a sequence of one item: the item's refusal
+        if isinstance(valid[0], (list, tuple)) and isinstance(value[0], (str, bytes)):
+            return _TEXT_REFUSALS[noun].format(value[0])
         return _refusal(valid[0], noun, value[0])
     if kind is np.ndarray:  # a frame array: its shape first, then its bits
         shape, width = np.shape(value), valid.shape[1]
@@ -166,7 +178,8 @@ def _unnamed(name: str, param: str, value) -> str | None:
 _CASES = [pytest.param(name, None, None, id=name) for name in _PUBLIC] + [
     pytest.param(name, param, value, id=f"{name}-{param}-{label}")
     for name in _VALID_CALLS for param, valid in _args(name).items()
-    if (name, param) not in _UNCHECKED for label, value in _others(valid, param).items()]
+    for label, value in _others(valid, param).items()
+    if (name, param) not in _UNCHECKED or label in _TEXT_ITEMS]
 
 
 @pytest.mark.parametrize("name, param, value", _CASES)
